@@ -46,6 +46,10 @@ use crate::error::InvalidParamError;
 /// ```
 pub trait DelayModel: fmt::Debug + Send + Sync {
     /// Draws one delay.
+    ///
+    /// The result must be a function of the RNG state alone: the sharded
+    /// kernel presamples an edge's next draws from a clone of its stream
+    /// to size its windows.
     fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> SimDuration;
 
     /// The exact expected value of the distribution.
@@ -59,12 +63,11 @@ pub trait DelayModel: fmt::Debug + Send + Sync {
 
     /// Infimum of the support: a time no sample can undercut.
     ///
-    /// This is the *lookahead* the sharded kernel builds its conservative
-    /// time windows from — a cross-shard message sent at `t` cannot arrive
-    /// before `t + min_delay()`, so shards may safely advance that far
-    /// without synchronising. Models whose support reaches down to zero
-    /// (the exponential family) return `0.0`, which degrades sharded
-    /// execution to single-stepping; models with a genuine floor
+    /// The sharded kernel never sizes a window below this floor — a
+    /// cross-shard message sent at `t` cannot arrive before
+    /// `t + min_delay()`. Models whose support reaches down to zero (the
+    /// exponential family) return `0.0`; their windows come from the
+    /// edge's presampled next draws instead. Models with a genuine floor
     /// (deterministic, uniform `lo`, Pareto `scale`, …) override this.
     ///
     /// Implementations must guarantee `sample(rng) >= min_delay()` for

@@ -74,7 +74,19 @@ pub(crate) struct ChannelState {
     /// executes the edge.
     proc: Option<Box<Xoshiro256PlusPlus>>,
     last_arrival: SimTime,
-    sent: u64,
+    pub(crate) sent: u64,
+}
+
+impl ChannelState {
+    /// The smallest of the next `k` channel-delay draws, read from a clone
+    /// of the edge's stream: the stream itself does not advance, so these
+    /// are exactly the delays the edge's next `k` sends will sample.
+    pub(crate) fn peek_min_delay(&self, k: usize) -> f64 {
+        let mut rng = self.rng.clone();
+        (0..k)
+            .map(|_| self.delay.sample(&mut rng).as_secs())
+            .fold(f64::INFINITY, f64::min)
+    }
 }
 
 /// Canonical total order of same-time events, encoded into the queue's
@@ -189,16 +201,19 @@ pub struct ShardTiming {
     pub shards: u32,
     /// Conservative time windows executed (parallel phase).
     pub windows: u64,
-    /// Events executed one-at-a-time because the lookahead was zero (the
-    /// degenerate serial fallback for zero-`min_delay` models).
+    /// Events executed one at a time because no window could open: the
+    /// earliest shard's lookahead, presampled from its cross-shard edges'
+    /// next delay draws, was zero (e.g. zero-delay deterministic edges).
     pub single_steps: u64,
     /// Per-shard busy time in nanoseconds (event processing only).
     pub busy_nanos: Vec<u64>,
     /// Sum over windows of the slowest shard's busy time — the modelled
     /// wall-clock lower bound with one core per shard.
     pub critical_path_nanos: u64,
-    /// Whether the run aborted the windowed pass and re-ran sequentially
-    /// (stop request or event-budget overshoot mid-window).
+    /// Whether the run aborted the windowed pass and re-ran sequentially:
+    /// a stop request or an event-budget overshoot mid-window, or a
+    /// cross-shard arrival inside its own window (an edge sent past its
+    /// presampled draws and one of the later draws undercut the bound).
     pub fell_back: bool,
 }
 
@@ -243,6 +258,15 @@ pub struct Network<P: Protocol> {
     /// size, message)`, routed into the destination shard at the next
     /// barrier.
     pub(crate) outbox: Vec<(SimTime, u64, u32, u64, P::Message)>,
+    /// Local channel index of every cross-shard send (dropped ones
+    /// included) since the last barrier, so the barrier re-presamples
+    /// only the edges whose delay streams moved.
+    pub(crate) cross_sent: Vec<u32>,
+    /// End of the window this partition is running; a cross-shard
+    /// arrival before it would land in the destination's past, so
+    /// [`transmit`](Self::transmit) requests a stop, which aborts the
+    /// windowed pass. `-∞` outside windows and for full networks.
+    pub(crate) window_end: f64,
     /// Telemetry of the last sharded run (set on the merged network).
     pub(crate) timing: Option<ShardTiming>,
 }
@@ -273,6 +297,8 @@ where
             shard_lo: self.shard_lo,
             edge_ranks: self.edge_ranks.clone(),
             outbox: self.outbox.clone(),
+            cross_sent: self.cross_sent.clone(),
+            window_end: self.window_end,
             timing: self.timing.clone(),
         }
     }
@@ -359,6 +385,8 @@ impl<P: Protocol> Network<P> {
             shard_lo: 0,
             edge_ranks: None,
             outbox: Vec::new(),
+            cross_sent: Vec::new(),
+            window_end: f64::NEG_INFINITY,
             timing: None,
         }
     }
@@ -579,12 +607,17 @@ impl<P: Protocol> Network<P> {
         let edge = self.topo.out_edges(src)[port];
         let dst = self.topo.edge(edge).dst;
         let src_local = self.node_slot(src.index() as u32);
-        let channel = &mut self.channels[match &self.edge_ranks {
+        let local_edge = match &self.edge_ranks {
             None => edge.index(),
             Some(ranks) => ranks
                 .binary_search(&(edge.index() as u32))
                 .expect("edge not owned by this shard"),
-        }];
+        };
+        let cross = !self.owns_node(dst.index() as u32);
+        if cross {
+            self.cross_sent.push(local_edge as u32);
+        }
+        let channel = &mut self.channels[local_edge];
         // Delay and processing draws happen before the fault verdict, so
         // the channel/processing RNG streams advance identically whether a
         // message is dropped or not. Consuming processing models draw from
@@ -679,7 +712,7 @@ impl<P: Protocol> Network<P> {
             });
         }
         let key = event_key(KIND_DELIVER, edge.index() as u32, send_seq);
-        if self.owns_node(dst.index() as u32) {
+        if !cross {
             step.schedule_at_keyed(
                 arrival,
                 key,
@@ -692,7 +725,13 @@ impl<P: Protocol> Network<P> {
         } else {
             // Cross-shard send: held in the outbox and routed into the
             // destination shard's queue at the next window barrier. The
-            // key makes insertion order irrelevant.
+            // key makes insertion order irrelevant. An arrival inside the
+            // running window means the presampled lookahead did not cover
+            // this send (only possible past an edge's presampled draws):
+            // stop, which aborts the windowed pass.
+            if arrival.as_secs() < self.window_end {
+                step.request_stop();
+            }
             self.outbox
                 .push((arrival, key, edge.index() as u32, size, msg));
         }

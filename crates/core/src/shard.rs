@@ -6,12 +6,9 @@
 //! **conservative time windows** — the classical null-message-free variant
 //! of conservative parallel discrete-event simulation:
 //!
-//! 1. Every edge `e` has a static *lookahead* `λ_e = min_delay(e) ·
-//!    min_stretch(e) + min_proc`, a lower bound on the latency of any
-//!    message it can ever carry
-//!    ([`min_delay`](crate::delay::DelayModel::min_delay), shrunk by
-//!    sub-unity delay-storm factors, plus the processing model's own
-//!    bound).
+//! 1. Every outgoing cross-shard edge `e` has a *lookahead* `λ_e`, a lower
+//!    bound on the latency of the next messages it will carry (see
+//!    [Presampled lookahead](#presampled-lookahead)).
 //! 2. A shard whose earliest pending event is at `t_next` cannot cause a
 //!    cross-shard arrival before `t_next + λ_out`, where `λ_out` is the
 //!    minimum lookahead over its outgoing cross-shard edges.
@@ -25,14 +22,31 @@
 //! per-edge send sequence), so insertion order is irrelevant and every
 //! shard pops the exact event subsequence the sequential run would.
 //!
-//! ## Zero lookahead
+//! ## Presampled lookahead
 //!
-//! Unbounded-from-below delay models (e.g. exponential) have
-//! `min_delay() == 0`, collapsing the window to nothing. The executor then
-//! degenerates gracefully: it finds the globally earliest `(time, key)`
-//! across shards and steps that single shard once — serial, but still
-//! exact. Runs mix both modes freely (deterministic delays on some edges,
-//! heavy-tailed on others).
+//! ABE delay models bound delays only in expectation, so the paper's own
+//! family, the exponential, has `min_delay() == 0`: a static bound gives
+//! no window at all. The bound comes instead from the delays the run will
+//! actually draw. Every channel samples from its own per-edge stream, one
+//! draw per send (dropped sends included), so at each barrier the kernel
+//! reads an edge's next `K` draws from a clone of its stream and sets
+//!
+//! `λ_e = max(min(next K draws), min_delay) · min_stretch(e) + min_proc`
+//!
+//! (`min_stretch` shrinks the bound by sub-unity delay-storm factors,
+//! `min_proc` is the processing model's floor). The presampled minimum is
+//! cached against the edge's send count, and a min-tree over the shard's
+//! cross edges yields `λ_out`, so a barrier costs `O(log C)` per cross edge
+//! that sent since the last barrier, not a scan of all `C`.
+//!
+//! The bound covers the first `K` sends of each edge in a window. A
+//! `(K+1)`-th send may draw a shorter delay; the network checks every
+//! cross-shard arrival against the running window's end and, on one
+//! landing inside it, aborts the window into the sequential fallback
+//! below. Edges whose lookahead is genuinely zero (zero-delay
+//! deterministic models) leave no window: the executor then finds the
+//! globally earliest `(time, key)` across shards and steps that single
+//! shard once — serial, but still exact.
 //!
 //! ## Fidelity and fallback
 //!
@@ -40,13 +54,16 @@
 //! construction: every random stream is keyed by node or edge id (never by
 //! shard count), per-edge state (FIFO clamp, send sequence, drop stream)
 //! lives with the source shard, and the per-event ordering key reproduces
-//! the sequential pop order. Three situations cannot be reproduced
-//! mid-window and fall back to the classic sequential loop on a pristine
-//! clone of the network (so the result is *still* identical):
+//! the sequential pop order. Four situations cannot be reproduced
+//! mid-window; the first three fall back to the classic sequential loop on
+//! a pristine clone of the network (so the result is *still* identical):
 //!
 //! * a protocol requests a stop inside a parallel window (other shards
 //!   have already raced past the stop point),
 //! * the event budget is exhausted strictly inside a window,
+//! * a cross-shard send arrives before the end of its own window (an edge
+//!   sent more than `K` messages in one window and a later draw undercut
+//!   the presampled bound),
 //! * a scheduling adversary is installed (it observes global node heat on
 //!   every send); this delegates up front.
 //!
@@ -71,7 +88,7 @@ use abe_telemetry::{merge_chunks, RunRecorder};
 use crate::adversary::AdversaryStats;
 use crate::fault::FaultRuntime;
 use crate::net::{
-    event_key, ChannelState, NetEvent, Network, NetworkReport, NodeSlot, ShardTiming, KIND_CRASH,
+    event_key, ChannelState, NetEvent, Network, NetworkReport, ShardTiming, KIND_CRASH,
     KIND_RECOVER, KIND_START,
 };
 use crate::protocol::Protocol;
@@ -82,16 +99,102 @@ use crate::topology::{edge_id_from_raw, Topology};
 /// either way.
 const SERIAL_WINDOW_THRESHOLD: usize = 4096;
 
+/// Delays presampled per cross-shard edge at each barrier (the `K` of the
+/// [module docs](self#presampled-lookahead)). More draws make window
+/// aborts rarer and windows shorter.
+const LOOKAHEAD_DRAWS: usize = 4;
+
 /// One shard: a partition of the network driven by its own simulation.
 struct Shard<P: Protocol> {
     sim: Simulation<Network<P>>,
-    /// Minimum lookahead over outgoing cross-shard edges (`∞` if none).
-    lookahead: f64,
+    /// Lookahead bounds of the outgoing cross-shard edges.
+    lookahead: Lookahead,
     /// Owned node range `lo..hi` (global ids).
     lo: u32,
     hi: u32,
     /// Busy nanoseconds accumulated across windows and single-steps.
     busy_nanos: u64,
+}
+
+/// One outgoing cross-shard edge of a shard.
+struct CrossEdge {
+    /// Index into the shard's `channels`.
+    local: u32,
+    /// Static lower bound on the storm stretch of any send on the edge.
+    stretch: f64,
+    /// The edge's send count when its bound was last presampled.
+    sampled_at: u64,
+}
+
+/// Presampled lookahead over a shard's outgoing cross-shard edges: each
+/// edge's bound is cached against its send count, and a min-tree over the
+/// bounds yields the shard's `λ_out` (see the
+/// [module docs](self#presampled-lookahead)).
+struct Lookahead {
+    /// Cross edges, ascending by local channel index.
+    edges: Vec<CrossEdge>,
+    /// Implicit min-tree: leaf `i` at `tree[edges.len() + i]`, node `j`
+    /// holds `min(tree[2j], tree[2j + 1])`, the root is `tree[1]`.
+    tree: Vec<f64>,
+    /// The processing model's delay floor.
+    proc_min: f64,
+}
+
+impl Lookahead {
+    /// Presamples every edge in `edges` against the partition's channels.
+    fn new(edges: Vec<CrossEdge>, channels: &[ChannelState], proc_min: f64) -> Self {
+        let c = edges.len();
+        let mut la = Lookahead {
+            edges,
+            tree: vec![f64::INFINITY; 2 * c],
+            proc_min,
+        };
+        for i in 0..c {
+            la.tree[c + i] = la.bound(i, channels);
+        }
+        for j in (1..c).rev() {
+            la.tree[j] = la.tree[2 * j].min(la.tree[2 * j + 1]);
+        }
+        la
+    }
+
+    /// `λ_e` of cross edge `i`, presampled from its current stream state.
+    fn bound(&self, i: usize, channels: &[ChannelState]) -> f64 {
+        let edge = &self.edges[i];
+        let ch = &channels[edge.local as usize];
+        let draws = ch.peek_min_delay(LOOKAHEAD_DRAWS);
+        draws.max(ch.delay.min_delay()) * edge.stretch + self.proc_min
+    }
+
+    /// Re-presamples the edges in `sent` (local channel indices of the
+    /// cross-shard sends since the last barrier, drained) whose streams
+    /// moved, and returns the shard's `λ_out` (`∞` without cross edges).
+    fn refresh(&mut self, channels: &[ChannelState], sent: &mut Vec<u32>) -> f64 {
+        let c = self.edges.len();
+        for local in sent.drain(..) {
+            let i = self
+                .edges
+                .binary_search_by_key(&local, |e| e.local)
+                .expect("cross-shard sends use cross edges");
+            let now_sent = channels[local as usize].sent;
+            if self.edges[i].sampled_at == now_sent {
+                continue;
+            }
+            self.edges[i].sampled_at = now_sent;
+            let mut j = c + i;
+            self.tree[j] = self.bound(i, channels);
+            while j > 1 {
+                j /= 2;
+                self.tree[j] = self.tree[2 * j].min(self.tree[2 * j + 1]);
+            }
+        }
+        self.min()
+    }
+
+    /// The minimum bound over all cross edges (`∞` if there are none).
+    fn min(&self) -> f64 {
+        self.tree.get(1).copied().unwrap_or(f64::INFINITY)
+    }
 }
 
 impl<P> Network<P>
@@ -109,11 +212,12 @@ where
     /// the sequential run's for every shard count; see the
     /// [module docs](crate::shard) for why — including any recorded
     /// trace, which is merged back into global `(time, key, sub)` order at
-    /// every window barrier. Runs that cannot be
-    /// parallelised faithfully (installed adversary, a
-    /// mid-window stop or event-budget exhaustion) are re-run sequentially
-    /// on a pristine copy, preserving the guarantee at the cost of the
-    /// speedup; [`Network::shard_timing`] reports whether that happened.
+    /// every window barrier. Runs that cannot be parallelised faithfully
+    /// (an installed adversary; a mid-window stop, event-budget
+    /// exhaustion, or a cross-shard send that undercut its window) run
+    /// sequentially on the untouched network, preserving the guarantee at
+    /// the cost of the speedup; [`Network::shard_timing`] reports whether
+    /// a fallback happened.
     pub fn run_sharded(self, limits: RunLimits) -> (NetworkReport, Network<P>) {
         let n = self.topo.node_count();
         let shards = self.shards.min(n).max(1);
@@ -124,13 +228,15 @@ where
         if shards <= 1 || self.adversary.is_some() {
             return self.run(limits);
         }
-        let pristine = self.clone();
+        // The windowed pass runs on per-shard copies and leaves `self`
+        // pristine until it succeeds.
         match run_windowed(self, shards, limits) {
             Ok(done) => done,
-            Err(mut timing) => {
-                // The windowed pass aborted (stop or budget overshoot
-                // mid-window): discard it and replay sequentially from the
-                // pristine clone — identical to `run` by construction.
+            Err((mut timing, pristine)) => {
+                // The windowed pass aborted (a stop, a budget overshoot or
+                // an undercut window): discard it and replay sequentially
+                // from the pristine network — identical to `run` by
+                // construction.
                 timing.fell_back = true;
                 let (report, mut net) = pristine.run(limits);
                 net.timing = Some(timing);
@@ -147,24 +253,24 @@ fn shard_of(node: u32, bounds: &[u32]) -> usize {
     bounds.partition_point(|&b| b <= node) - 1
 }
 
-/// The windowed parallel pass. `Err(timing)` means the pass aborted and the
-/// caller must replay sequentially.
+/// The windowed parallel pass. `Err` means the pass aborted; it hands back
+/// the untouched network so the caller can replay sequentially.
+#[allow(clippy::result_large_err)] // as large as `Ok`; returned once per run
 fn run_windowed<P>(
     net: Network<P>,
     shards: u32,
     limits: RunLimits,
-) -> Result<(NetworkReport, Network<P>), ShardTiming>
+) -> Result<(NetworkReport, Network<P>), (ShardTiming, Network<P>)>
 where
     P: Protocol + Clone + Send,
     P::Message: Send,
 {
-    let requested = net.shards;
     let topo = Arc::clone(&net.topo);
     let n = topo.node_count();
     let bounds: Vec<u32> = (0..=shards)
         .map(|s| (u64::from(s) * u64::from(n) / u64::from(shards)) as u32)
         .collect();
-    let (mut parts, mut master) = partition(net, &bounds);
+    let (mut parts, mut master) = partition(&net, &bounds);
 
     let mut timing = ShardTiming {
         shards,
@@ -176,15 +282,14 @@ where
         // ---- barrier: pick the next window (or the run outcome) ----
         let mut min_next: Option<(SimTime, u64, usize)> = None;
         let mut w_end = f64::INFINITY;
-        for (i, sh) in parts.iter().enumerate() {
+        for (i, sh) in parts.iter_mut().enumerate() {
+            let world = sh.sim.world_mut();
+            let lookahead = sh.lookahead.refresh(&world.channels, &mut world.cross_sent);
             if let Some((t, k)) = sh.sim.peek_time_key() {
                 if min_next.is_none_or(|(mt, mk, _)| (t, k) < (mt, mk)) {
                     min_next = Some((t, k, i));
                 }
-                let cap = t.as_secs() + sh.lookahead;
-                if cap < w_end {
-                    w_end = cap;
-                }
+                w_end = w_end.min(t.as_secs() + lookahead);
             }
         }
         // Outcome checks mirror the sequential loop's priority order:
@@ -209,40 +314,24 @@ where
             // ---- parallel window: every shard runs to the horizon ----
             timing.windows += 1;
             let pending: usize = parts.iter().map(|sh| sh.sim.pending()).sum();
-            let stopped = if pending < SERIAL_WINDOW_THRESHOLD {
-                let mut stopped = false;
-                let mut slowest = 0u64;
-                for sh in parts.iter_mut() {
-                    let (nanos, stop) = run_window(sh, w_end, limits.max_time);
-                    slowest = slowest.max(nanos);
-                    stopped |= stop;
-                }
-                timing.critical_path_nanos += slowest;
-                stopped
-            } else {
-                let results = std::thread::scope(|scope| {
-                    let handles: Vec<_> = parts
-                        .iter_mut()
-                        .map(|sh| scope.spawn(move || run_window(sh, w_end, limits.max_time)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked"))
-                        .collect::<Vec<_>>()
-                });
-                let slowest = results.iter().map(|&(nanos, _)| nanos).max().unwrap_or(0);
-                timing.critical_path_nanos += slowest;
-                results.iter().any(|&(_, stop)| stop)
-            };
+            let (slowest, stopped) = run_windows(
+                &mut parts,
+                w_end,
+                limits.max_time,
+                pending >= SERIAL_WINDOW_THRESHOLD,
+            );
+            timing.critical_path_nanos += slowest;
             cum = parts.iter().map(|sh| sh.sim.events_processed()).sum();
             if stopped {
-                // A stop inside a parallel window: sibling shards already
-                // processed events the sequential run never would have.
-                return Err(timing);
+                // A stop inside a parallel window (a protocol's, or the
+                // network's on a send that undercut the window): sibling
+                // shards already processed events the sequential run
+                // never would have.
+                return Err((timing, net));
             }
             if let Some(max_events) = limits.max_events {
                 if cum > max_events {
-                    return Err(timing);
+                    return Err((timing, net));
                 }
             }
             collect_trace(&mut parts, master.as_deref_mut());
@@ -268,7 +357,44 @@ where
     };
 
     timing.busy_nanos = parts.iter().map(|sh| sh.busy_nanos).collect();
-    Ok(merge(parts, outcome, cum, requested, timing, master))
+    Ok(merge(net, parts, outcome, cum, timing, master))
+}
+
+/// Runs one window on every shard; with `spawn`, shards after the first
+/// run on scoped worker threads while the first runs on the calling
+/// thread. Returns the slowest shard's busy nanoseconds and whether any
+/// shard stopped.
+fn run_windows<P>(
+    parts: &mut [Shard<P>],
+    w_end: f64,
+    max_time: Option<SimTime>,
+    spawn: bool,
+) -> (u64, bool)
+where
+    P: Protocol + Send,
+    P::Message: Send,
+{
+    let fold = |(slowest, stopped): (u64, bool), (nanos, stop): (u64, bool)| {
+        (slowest.max(nanos), stopped | stop)
+    };
+    if !spawn {
+        return parts
+            .iter_mut()
+            .map(|sh| run_window(sh, w_end, max_time))
+            .fold((0, false), fold);
+    }
+    let (first, rest) = parts.split_first_mut().expect("at least two shards");
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .map(|sh| scope.spawn(move || run_window(sh, w_end, max_time)))
+            .collect();
+        let own = run_window(first, w_end, max_time);
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .fold(own, fold)
+    })
 }
 
 /// Runs one shard up to (exclusive) the window horizon, bounded by the time
@@ -279,6 +405,7 @@ fn run_window<P: Protocol>(
     max_time: Option<SimTime>,
 ) -> (u64, bool) {
     let started = Instant::now();
+    shard.sim.world_mut().window_end = w_end;
     let mut stopped = false;
     loop {
         match shard.sim.peek_time_key() {
@@ -298,6 +425,7 @@ fn run_window<P: Protocol>(
             break;
         }
     }
+    shard.sim.world_mut().window_end = f64::NEG_INFINITY;
     let nanos = started.elapsed().as_nanos() as u64;
     shard.busy_nanos += nanos;
     (nanos, stopped)
@@ -346,115 +474,103 @@ fn collect_trace<P: Protocol>(parts: &mut [Shard<P>], master: Option<&mut RunRec
     merge_chunks(chunks, |rec| master.absorb_merged(rec));
 }
 
-/// Splits a full network into per-shard partitions, each primed with its
-/// own nodes' start events and crash schedule. Returns the shards plus the
-/// master recorder (if recording is enabled); each shard gets an unbounded
-/// window-local buffer that [`collect_trace`] merges back into the master
-/// at every barrier.
-fn partition<P>(net: Network<P>, bounds: &[u32]) -> (Vec<Shard<P>>, Option<Box<RunRecorder>>)
+/// Copies a full network into per-shard partitions, each primed with its
+/// own nodes' start events and crash schedule; `net` itself stays
+/// untouched. Returns the shards plus the master recorder (if recording is
+/// enabled); each shard gets an unbounded window-local buffer that
+/// [`collect_trace`] merges back into the master at every barrier.
+fn partition<P>(net: &Network<P>, bounds: &[u32]) -> (Vec<Shard<P>>, Option<Box<RunRecorder>>)
 where
     P: Protocol + Clone,
 {
     let shards = bounds.len() - 1;
-    let Network {
-        topo,
-        reply_ports,
-        mut nodes,
-        channels,
-        processing,
-        proc_rng,
-        fifo,
-        tick_interval,
-        counters,
-        messages_sent,
-        messages_delivered,
-        ticks,
-        payload_bytes,
-        rec: master,
-        faults,
-        adversary: _,
-        shards: requested,
-        shard_lo: _,
-        edge_ranks: _,
-        outbox: _,
-        timing: _,
-    } = net;
-
-    // Split the node vector into contiguous chunks, back to front.
-    let mut node_chunks: Vec<Vec<NodeSlot<P>>> = Vec::with_capacity(shards);
-    for s in (0..shards).rev() {
-        node_chunks.push(nodes.split_off(bounds[s] as usize));
-    }
-    node_chunks.reverse();
+    let topo = &net.topo;
 
     // Each channel lives with its *source* shard (send-side state: delay
     // sampling, FIFO clamp, send sequence, drop stream); deliveries touch
     // only the destination node, not the channel. While walking the edges,
-    // accumulate each shard's outgoing-cross-edge lookahead.
-    let proc_min = processing.min_delay();
-    let mut chan_chunks: Vec<Vec<ChannelState>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut rank_chunks: Vec<Vec<u32>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut lookahead = vec![f64::INFINITY; shards];
-    for (e, ch) in channels.into_iter().enumerate() {
-        let edge = topo.edge(edge_id_from_raw(e as u32));
-        let src_shard = shard_of(edge.src.index() as u32, bounds);
-        let dst_shard = shard_of(edge.dst.index() as u32, bounds);
-        if src_shard != dst_shard {
-            let lam = ch.delay.min_delay() * faults.min_stretch(e) + proc_min;
-            if lam < lookahead[src_shard] {
-                lookahead[src_shard] = lam;
-            }
+    // collect each shard's outgoing cross edges.
+    let owner: Vec<(usize, bool)> = (0..topo.edge_count())
+        .map(|e| {
+            let edge = topo.edge(edge_id_from_raw(e as u32));
+            let src_shard = shard_of(edge.src.index() as u32, bounds);
+            (
+                src_shard,
+                src_shard != shard_of(edge.dst.index() as u32, bounds),
+            )
+        })
+        .collect();
+    let mut owned = vec![0usize; shards];
+    for &(s, _) in &owner {
+        owned[s] += 1;
+    }
+    let mut chan_chunks: Vec<Vec<ChannelState>> =
+        owned.iter().map(|&c| Vec::with_capacity(c)).collect();
+    let mut rank_chunks: Vec<Vec<u32>> = owned.iter().map(|&c| Vec::with_capacity(c)).collect();
+    let mut cross_chunks: Vec<Vec<CrossEdge>> = (0..shards).map(|_| Vec::new()).collect();
+    for (e, (ch, &(s, cross))) in net.channels.iter().zip(&owner).enumerate() {
+        if cross {
+            cross_chunks[s].push(CrossEdge {
+                local: chan_chunks[s].len() as u32,
+                stretch: net.faults.min_stretch(e),
+                sampled_at: ch.sent,
+            });
         }
-        chan_chunks[src_shard].push(ch);
-        rank_chunks[src_shard].push(e as u32);
+        chan_chunks[s].push(ch.clone());
+        rank_chunks[s].push(e as u32);
     }
 
-    let crash_windows = faults.crash_windows().to_vec();
+    let master = net.rec.clone();
+    let proc_min = net.processing.min_delay();
+    let crash_windows = net.faults.crash_windows();
     let mut parts = Vec::with_capacity(shards);
-    let mut node_chunks = node_chunks.into_iter();
-    let mut chan_chunks = chan_chunks.into_iter();
-    let mut rank_chunks = rank_chunks.into_iter();
-    let mut baseline = Some((
-        counters,
-        messages_sent,
-        messages_delivered,
-        ticks,
-        payload_bytes,
-    ));
-    for s in 0..shards {
+    let chunks = chan_chunks.into_iter().zip(rank_chunks).zip(cross_chunks);
+    for (s, ((channels, ranks), cross)) in chunks.enumerate() {
         let (lo, hi) = (bounds[s], bounds[s + 1]);
         // Shard 0 inherits the pre-run accumulators (normally zero; kept
         // so totals remain lifetime totals, exactly like `run`).
-        let (counters, sent, delivered, ticks, payload_bytes) =
-            baseline.take().unwrap_or((BTreeMap::new(), 0, 0, 0, 0));
-        let mut shard_faults = faults.clone();
-        if s > 0 {
-            shard_faults.stats = crate::fault::FaultStats::default();
+        let first = s == 0;
+        let mut faults = net.faults.clone();
+        if !first {
+            faults.stats = crate::fault::FaultStats::default();
         }
         let part = Network {
-            topo: Arc::clone(&topo),
-            reply_ports: Arc::clone(&reply_ports),
-            nodes: node_chunks.next().expect("one node chunk per shard"),
-            channels: chan_chunks.next().expect("one channel chunk per shard"),
-            processing: Arc::clone(&processing),
-            proc_rng: proc_rng.clone(),
-            fifo,
-            tick_interval,
-            counters,
-            messages_sent: sent,
-            messages_delivered: delivered,
-            ticks,
-            payload_bytes,
+            topo: Arc::clone(topo),
+            reply_ports: Arc::clone(&net.reply_ports),
+            nodes: net.nodes[lo as usize..hi as usize].to_vec(),
+            channels,
+            processing: Arc::clone(&net.processing),
+            proc_rng: net.proc_rng.clone(),
+            fifo: net.fifo,
+            tick_interval: net.tick_interval,
+            counters: if first {
+                net.counters.clone()
+            } else {
+                BTreeMap::new()
+            },
+            messages_sent: if first { net.messages_sent } else { 0 },
+            messages_delivered: if first { net.messages_delivered } else { 0 },
+            ticks: if first { net.ticks } else { 0 },
+            payload_bytes: if first { net.payload_bytes } else { 0 },
             rec: master.as_ref().map(|m| Box::new(m.window_buffer())),
-            faults: shard_faults,
+            faults,
             adversary: None,
-            shards: requested,
+            shards: net.shards,
             shard_lo: lo,
-            edge_ranks: Some(rank_chunks.next().expect("one rank chunk per shard")),
-            outbox: Vec::new(),
+            edge_ranks: Some(ranks),
+            outbox: Vec::with_capacity(cross.len()),
+            cross_sent: Vec::with_capacity(cross.len()),
+            window_end: f64::NEG_INFINITY,
             timing: None,
         };
+        let lookahead = Lookahead::new(cross, &part.channels, proc_min);
         let mut sim = Simulation::new(part);
+        // Presize the queue (and, above, the outboxes) here, on the
+        // calling thread, for about one more pending event per node:
+        // windows run on worker threads, and memory first allocated there
+        // lands in per-thread allocator arenas that the caller's next
+        // network build cannot reuse.
+        sim.reserve((hi - lo) as usize);
         for i in lo..hi {
             sim.prime_keyed(
                 SimTime::ZERO,
@@ -484,7 +600,7 @@ where
         }
         parts.push(Shard {
             sim,
-            lookahead: lookahead[s],
+            lookahead,
             lo,
             hi,
             busy_nanos: 0,
@@ -493,13 +609,14 @@ where
     (parts, master)
 }
 
-/// Reassembles the partitions into one network plus the run report, the
-/// exact mirror of what `Network::run` produces.
+/// Writes the partitions' final state back into the network they were
+/// copied from and builds the run report, the exact mirror of what
+/// `Network::run` produces.
 fn merge<P: Protocol>(
+    mut net: Network<P>,
     parts: Vec<Shard<P>>,
     outcome: RunOutcome,
     events_processed: u64,
-    requested_shards: u32,
     timing: ShardTiming,
     master: Option<Box<RunRecorder>>,
 ) -> (NetworkReport, Network<P>) {
@@ -513,77 +630,43 @@ fn merge<P: Protocol>(
         queue_stats.merge(sh.sim.queue_stats());
     }
 
-    let ranges: Vec<(u32, u32)> = parts.iter().map(|sh| (sh.lo, sh.hi)).collect();
-    let mut worlds: Vec<Network<P>> = parts.into_iter().map(|sh| sh.sim.into_world()).collect();
-
-    let edge_count = worlds[0].topo.edge_count();
-    let mut channel_slots: Vec<Option<ChannelState>> = (0..edge_count).map(|_| None).collect();
-    let mut nodes = Vec::with_capacity(worlds[0].topo.node_count() as usize);
-    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut messages_sent = 0u64;
-    let mut messages_delivered = 0u64;
-    let mut ticks = 0u64;
-    let mut payload_bytes = 0u64;
-
+    net.counters.clear();
+    net.messages_sent = 0;
+    net.messages_delivered = 0;
+    net.ticks = 0;
+    net.payload_bytes = 0;
     // Fault state: start from shard 0's runtime (it carries the baseline
     // stats), fold in sibling stats, and adopt each node's down-state from
     // its owner shard.
     let mut faults: Option<FaultRuntime> = None;
-    for (s, world) in worlds.iter_mut().enumerate() {
-        nodes.append(&mut world.nodes);
-        let ranks = world
-            .edge_ranks
-            .take()
-            .expect("partitions track edge ranks");
-        for (rank, ch) in ranks.into_iter().zip(world.channels.drain(..)) {
-            channel_slots[rank as usize] = Some(ch);
+    for sh in parts {
+        let (lo, hi) = (sh.lo as usize, sh.hi as usize);
+        let world = sh.sim.into_world();
+        for (slot, node) in net.nodes[lo..hi].iter_mut().zip(world.nodes) {
+            *slot = node;
         }
-        for (name, amount) in std::mem::take(&mut world.counters) {
-            *counters.entry(name).or_insert(0) += amount;
+        let ranks = world.edge_ranks.expect("partitions track edge ranks");
+        for (rank, ch) in ranks.into_iter().zip(world.channels) {
+            net.channels[rank as usize] = ch;
         }
-        messages_sent += world.messages_sent;
-        messages_delivered += world.messages_delivered;
-        ticks += world.ticks;
-        payload_bytes += world.payload_bytes;
-        let (lo, hi) = ranges[s];
+        for (name, amount) in world.counters {
+            *net.counters.entry(name).or_insert(0) += amount;
+        }
+        net.messages_sent += world.messages_sent;
+        net.messages_delivered += world.messages_delivered;
+        net.ticks += world.ticks;
+        net.payload_bytes += world.payload_bytes;
         match faults.as_mut() {
-            None => faults = Some(world.faults.clone()),
+            None => faults = Some(world.faults),
             Some(merged) => {
                 merged.stats.merge(&world.faults.stats);
-                merged.adopt_down(&world.faults, lo as usize, hi as usize);
+                merged.adopt_down(&world.faults, lo, hi);
             }
         }
     }
-    let faults = faults.expect("at least one shard");
-    let channels: Vec<ChannelState> = channel_slots
-        .into_iter()
-        .map(|slot| slot.expect("every edge owned by exactly one shard"))
-        .collect();
-
-    let first = worlds.swap_remove(0);
-    let mut net = Network {
-        topo: first.topo,
-        reply_ports: first.reply_ports,
-        nodes,
-        channels,
-        processing: first.processing,
-        proc_rng: first.proc_rng,
-        fifo: first.fifo,
-        tick_interval: first.tick_interval,
-        counters,
-        messages_sent,
-        messages_delivered,
-        ticks,
-        payload_bytes,
-        rec: master,
-        faults,
-        adversary: None,
-        shards: requested_shards,
-        shard_lo: 0,
-        edge_ranks: None,
-        outbox: Vec::new(),
-        timing: Some(timing),
-    };
+    net.faults = faults.expect("at least one shard");
+    net.rec = master;
+    net.timing = Some(timing);
 
     let report = NetworkReport {
         outcome,
@@ -678,10 +761,75 @@ mod tests {
 
     #[test]
     fn zero_lookahead_degenerates_to_exact_single_stepping() {
-        assert_equivalent(
-            || relay_builder(16, 5).delay(Exponential::from_mean(1.0).unwrap()),
-            RunLimits::unbounded(),
+        // Zero-delay edges give no window at all, presampled or not.
+        let make = || relay_builder(16, 5).delay(Deterministic::zero());
+        assert_equivalent(make, RunLimits::unbounded());
+        let (_, net) = make()
+            .shards(2)
+            .build(relay_factory)
+            .unwrap()
+            .run_sharded(RunLimits::unbounded());
+        let timing = net.shard_timing().unwrap();
+        assert!(timing.single_steps > 0, "{timing:?}");
+        assert!(!timing.fell_back, "{timing:?}");
+    }
+
+    /// A boundary node that sends far more than `LOOKAHEAD_DRAWS` messages
+    /// on its cross-shard edge inside one window outruns the presampled
+    /// bound. The window guard must fire, and the sequential fallback must
+    /// still reproduce the sequential run record for record.
+    #[test]
+    fn burst_past_presampled_draws_trips_the_window_guard() {
+        use abe_telemetry::Recording;
+
+        #[derive(Debug, Clone)]
+        struct Burst {
+            burst: usize,
+            seen: u32,
+        }
+        impl Protocol for Burst {
+            type Message = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                for _ in 0..self.burst {
+                    ctx.send(OutPort(0), ());
+                }
+            }
+            fn on_message(&mut self, _from: InPort, _msg: (), _ctx: &mut Ctx<'_, ()>) {
+                self.seen += 1;
+            }
+        }
+        // Ring 0 → 1 → 2 → 3 → 0 on two shards {0, 1} and {2, 3}: node
+        // 1's only out-edge crosses the cut, and it fires its whole burst
+        // at t = 0, inside the first window.
+        let make = |shards: u32| {
+            NetworkBuilder::new(Topology::unidirectional_ring(4).unwrap())
+                .delay(Exponential::from_mean(1.0).unwrap())
+                .seed(3)
+                .record(Recording::full())
+                .shards(shards)
+                .build(|i| Burst {
+                    burst: if i == 1 {
+                        16 * super::LOOKAHEAD_DRAWS
+                    } else {
+                        0
+                    },
+                    seen: 0,
+                })
+                .unwrap()
+        };
+        let (seq_report, seq_net) = make(1).run(RunLimits::unbounded());
+        let (par_report, par_net) = make(2).run_sharded(RunLimits::unbounded());
+        let timing = par_net.shard_timing().expect("sharded run records timing");
+        assert!(timing.fell_back, "{timing:?}");
+        assert_eq!(timing.windows, 1, "{timing:?}");
+        assert_eq!(seq_report, par_report);
+        assert_eq!(
+            par_report.messages_delivered,
+            16 * super::LOOKAHEAD_DRAWS as u64
         );
+        let seq_recs: Vec<_> = seq_net.trace().collect();
+        let par_recs: Vec<_> = par_net.trace().collect();
+        assert_eq!(seq_recs, par_recs);
     }
 
     #[test]
@@ -826,8 +974,9 @@ mod tests {
         }
     }
 
-    /// Same equivalence through the zero-lookahead single-step path and
-    /// with faults injecting crash/drop records.
+    /// Same equivalence for a delay model without a static floor (its
+    /// windows come from presampled draws), with faults injecting
+    /// crash/drop records.
     #[test]
     fn traced_faulty_zero_lookahead_runs_match_sequential() {
         use abe_telemetry::Recording;

@@ -353,6 +353,25 @@ impl<E> EventQueue<E> {
         Self::with_bucket_width(DEFAULT_WIDTH)
     }
 
+    /// Reserves room for at least `additional` more pending events: the
+    /// slot arena and its free list grow by `additional`, and every
+    /// calendar bucket and both heaps by an even share of it. A caller
+    /// that creates a queue on one thread and fills it on another (the
+    /// sharded network kernel) uses this to allocate the queue's memory up
+    /// front on its own thread.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve(additional);
+        self.free.reserve(additional);
+        let share = additional / BUCKETS;
+        if share > 0 {
+            for bucket in &mut self.buckets {
+                bucket.reserve(share);
+            }
+            self.overlay.reserve(share);
+            self.far.reserve(share);
+        }
+    }
+
     /// Creates an empty queue with calendar buckets roughly `width`
     /// virtual seconds wide.
     ///

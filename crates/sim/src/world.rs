@@ -254,6 +254,12 @@ impl<W: World> Simulation<W> {
         }
     }
 
+    /// Reserves queue room for at least `additional` more pending events
+    /// (see [`EventQueue::reserve`]).
+    pub fn reserve(&mut self, additional: usize) {
+        self.queue.reserve(additional);
+    }
+
     /// Schedules an initial event before the run starts.
     pub fn prime(&mut self, at: SimTime, event: W::Event) -> EventToken {
         self.queue.schedule(at, event)

@@ -7,13 +7,16 @@
 //! compares. These tests drive whole networks down both paths and assert
 //! exactly that, across every execution regime the sharded kernel has:
 //!
-//! * positive lookahead (uniform/deterministic delays) → conservative
+//! * a static delay floor (uniform/deterministic delays) → conservative
 //!   time windows, the genuinely parallel path, ending in `Quiescent` or
 //!   `MaxTime` without ever aborting a window;
-//! * zero lookahead (exponential delays) → degenerate exact
-//!   single-stepping;
-//! * stop requests (every completed election) → exact single-step stop
-//!   or the sequential-replay fallback;
+//! * no static floor (exponential, Erlang, log-normal, Weibull and
+//!   hyperexponential delays, `min_delay() == 0`) → windows sized from
+//!   each cross-shard edge's presampled next draws, under FIFO, a
+//!   sub-unity delay storm and a randomness-consuming processing model,
+//!   with no event single-stepped;
+//! * stop requests (every completed election) → the sequential-replay
+//!   fallback;
 //! * fault schedules (crash-recover churn, message drops, delay storms)
 //!   → per-entity seed streams keep both paths on the same randomness.
 //!
@@ -32,7 +35,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
+use abe_core::delay::{
+    Deterministic, Erlang, Exponential, Hyperexponential, LogNormal, SharedDelay, Uniform, Weibull,
+};
 use abe_core::fault::{EdgeSelector, FaultPlan};
 use abe_core::{Ctx, InPort, NetworkBuilder, NetworkReport, OutPort, Protocol, Topology};
 use abe_election::{run_abe, run_abe_calibrated, run_itai_rodeh, ElectionOutcome, RingConfig};
@@ -141,8 +146,8 @@ fn windowed_max_time_run_matches_sequential() {
 
 #[test]
 fn zero_lookahead_run_matches_sequential() {
-    // Exponential delays have min_delay 0: every event goes through the
-    // degenerate exact single-stepping path.
+    // Exponential delays have min_delay 0, so no static lookahead: the
+    // windows come from each cross-shard edge's presampled next draws.
     for shards in [2, 4, 8] {
         let ((seq_report, seq_relays), (par_report, par_relays)) = hop_token_pair(
             16,
@@ -157,10 +162,78 @@ fn zero_lookahead_run_matches_sequential() {
     }
 }
 
+/// The delay families with no static floor (`min_delay() == 0`), each
+/// with mean 1.
+fn zero_minimum_families() -> Vec<(&'static str, SharedDelay)> {
+    vec![
+        (
+            "exponential",
+            Arc::new(Exponential::from_mean(1.0).expect("valid")),
+        ),
+        (
+            "erlang",
+            Arc::new(Erlang::from_mean(3, 1.0).expect("valid")),
+        ),
+        (
+            "lognormal",
+            Arc::new(LogNormal::from_mean(1.0, 0.75).expect("valid")),
+        ),
+        (
+            "weibull",
+            Arc::new(Weibull::from_mean(1.5, 1.0).expect("valid")),
+        ),
+        (
+            "hyperexponential",
+            Arc::new(Hyperexponential::new(&[(0.8, 0.5), (0.2, 3.0)]).expect("valid")),
+        ),
+    ]
+}
+
+#[test]
+fn zero_minimum_delay_families_open_presampled_windows() {
+    // Every zero-floor family, under FIFO, a storm that *shrinks* delays
+    // (so the presampled bound must scale down with it) and a processing
+    // model that draws from its own per-edge streams: reports stay equal,
+    // windows open, and nothing single-steps.
+    let limits = RunLimits::events(200_000);
+    for (name, delay) in zero_minimum_families() {
+        for shards in [2, 3, 8] {
+            let build = |shards: u32| {
+                NetworkBuilder::new(Topology::unidirectional_ring(24).expect("n >= 1"))
+                    .delay_shared(Arc::clone(&delay))
+                    .processing(Exponential::from_mean(0.05).expect("valid mean"))
+                    .fifo(true)
+                    .fault(FaultPlan::new().delay_storm(EdgeSelector::All, 2.0, 6.0, 0.25))
+                    .seed(19)
+                    .shards(shards)
+                    .build(|i| HopToken {
+                        initiator: i % 6 == 0,
+                        relayed: 0,
+                    })
+                    .expect("valid build")
+            };
+            let (seq_report, seq_net) = build(1).run(limits);
+            let (par_report, par_net) = build(shards).run_sharded(limits);
+            let what = format!("{name}, shards={shards}");
+            assert_eq!(seq_report.outcome, RunOutcome::Quiescent, "{what}");
+            assert!(seq_report.faults.storm_deliveries > 0, "{what}");
+            assert_eq!(seq_report, par_report, "{what}");
+            let relays = |net: &abe_core::Network<HopToken>| -> Vec<u64> {
+                net.protocols().map(|p| p.relayed).collect()
+            };
+            assert_eq!(relays(&seq_net), relays(&par_net), "{what}");
+            let timing = par_net.shard_timing().expect("sharded run records timing");
+            assert!(timing.windows > 0, "{what}: {timing:?}");
+            assert_eq!(timing.single_steps, 0, "{what}: {timing:?}");
+            assert!(!timing.fell_back, "{what}: {timing:?}");
+        }
+    }
+}
+
 #[test]
 fn elections_match_sequential_for_every_shard_count() {
     // Completed elections end in a stop request — the path that forces
-    // either an exact single-step stop or the sequential-replay fallback.
+    // the sequential-replay fallback.
     for shards in [2, 4, 8] {
         let seq = RingConfig::new(20).seed(5);
         let par = RingConfig::new(20).seed(5).shards(shards);
@@ -381,9 +454,9 @@ fn full_exchange_reference_matches_sequential_for_every_shard_count() {
     }
 }
 
-/// The delay regimes the property sweep draws from: zero lookahead
-/// (exponential), positive lookahead (uniform), and tie-heavy positive
-/// lookahead (deterministic).
+/// The delay regimes the property sweep draws from: no static floor
+/// (exponential, presampled windows), a positive floor (uniform), and a
+/// tie-heavy positive floor (deterministic).
 fn delay_strategy() -> impl Strategy<Value = SharedDelay> {
     prop_oneof![
         Just(Arc::new(Exponential::from_mean(1.0).expect("valid")) as SharedDelay),
