@@ -26,7 +26,7 @@
 //! ```
 //! use abe_adversary::TargetHeat;
 //! use abe_core::AdversaryPlan;
-//! use abe_election::{run_abe_calibrated, RingConfig};
+//! use abe_election::{run_abe_calibrated, RingConfig, Substrate};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let plan = AdversaryPlan::new(1.0, TargetHeat::new())?;

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use abe_election::{run_abe_calibrated, run_chang_roberts, run_itai_rodeh, RingConfig};
+use abe_election::{run_abe_calibrated, run_chang_roberts, run_itai_rodeh, RingConfig, Substrate};
 
 fn bench_baselines(c: &mut Criterion) {
     let mut group = c.benchmark_group("election-baselines");

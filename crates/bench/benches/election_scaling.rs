@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use abe_election::{run_abe_calibrated, RingConfig};
+use abe_election::{run_abe_calibrated, RingConfig, Substrate};
 
 fn bench_election(c: &mut Criterion) {
     let mut group = c.benchmark_group("abe-election");

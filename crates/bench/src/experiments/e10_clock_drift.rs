@@ -7,7 +7,7 @@
 //! including time-varying ("wandering") rates.
 
 use abe_core::clock::{ClockSpec, DriftMode};
-use abe_election::run_abe_calibrated;
+use abe_election::{run_abe_calibrated, Substrate};
 use abe_stats::{fmt_num, Table};
 
 use crate::sweep::{CellMetrics, SweepSpec};

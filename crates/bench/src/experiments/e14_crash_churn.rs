@@ -16,7 +16,7 @@
 
 use abe_core::fault::FaultPlan;
 use abe_core::OutcomeClass;
-use abe_election::{run_abe_calibrated, RingKind};
+use abe_election::{run_abe_calibrated, RingKind, Substrate};
 use abe_sim::SeedStream;
 use abe_stats::{fmt_num, Table};
 

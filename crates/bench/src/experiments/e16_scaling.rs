@@ -14,7 +14,7 @@
 //! `docs/ARCHITECTURE.md`); the wall-clock side of the same grid lives in
 //! `abe-perf`'s `ring_election` suite.
 
-use abe_election::run_abe_calibrated;
+use abe_election::{run_abe_calibrated, Substrate};
 use abe_stats::{best_growth, fmt_num, Table};
 
 use crate::sweep::{CellMetrics, SweepSpec};

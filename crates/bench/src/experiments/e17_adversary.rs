@@ -25,7 +25,7 @@ use std::sync::Arc;
 use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_core::delay::Pareto;
 use abe_core::AdversaryPlan;
-use abe_election::{run_abe_calibrated, RingConfig};
+use abe_election::{run_abe_calibrated, RingConfig, Substrate};
 use abe_stats::{fmt_num, Table};
 
 use crate::sweep::{Cell, CellMetrics, SweepSpec};

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
-use abe_consensus::{default_faulty, run_benor, ConsensusConfig, InputAssignment};
+use abe_consensus::{default_faulty, run_benor, ConsensusConfig, InputAssignment, Substrate};
 use abe_core::delay::{Exponential, Pareto};
 use abe_core::AdversaryPlan;
 use abe_stats::{fmt_num, Table};

@@ -14,7 +14,7 @@
 //! starve a quorum (a stall, recorded as data) but a wrong or conflicting
 //! delivery is a bug.
 
-use abe_consensus::{run_brb, ConsensusConfig};
+use abe_consensus::{run_brb, ConsensusConfig, Substrate};
 use abe_core::fault::FaultPlan;
 use abe_sim::SeedStream;
 use abe_stats::{fmt_num, Table};

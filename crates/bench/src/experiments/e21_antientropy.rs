@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
-use abe_statesync::{run_antientropy, SyncConfig};
+use abe_statesync::{run_antientropy, Substrate, SyncConfig};
 use abe_stats::{fit_line, fmt_num, Table};
 
 use crate::sweep::{CellMetrics, SweepSpec};

@@ -21,7 +21,7 @@ use abe_adversary::TargetHeat;
 use abe_core::fault::FaultPlan;
 use abe_core::AdversaryPlan;
 use abe_sim::SeedStream;
-use abe_statesync::{run_antientropy, SyncConfig};
+use abe_statesync::{run_antientropy, Substrate, SyncConfig};
 use abe_stats::{fmt_num, Table};
 
 use crate::sweep::{CellMetrics, SweepSpec};

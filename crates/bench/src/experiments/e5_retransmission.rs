@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use abe_core::delay::{DelayModel, Retransmission};
-use abe_election::{run_abe_calibrated, RingConfig};
+use abe_election::{run_abe_calibrated, RingConfig, Substrate};
 use abe_sim::SeedStream;
 use abe_stats::{fmt_num, Table};
 

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use abe_core::delay::standard_families;
-use abe_election::{run_abe_calibrated, RingConfig};
+use abe_election::{run_abe_calibrated, RingConfig, Substrate};
 use abe_stats::{fmt_num, Table};
 
 use crate::sweep::{CellMetrics, SweepSpec};

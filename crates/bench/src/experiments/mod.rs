@@ -28,7 +28,7 @@ pub mod e7_abd_violations;
 pub mod e8_adaptive_ablation;
 pub mod e9_delay_robustness;
 
-use abe_election::RingConfig;
+use abe_election::{RingConfig, Substrate};
 use abe_stats::Online;
 
 use crate::sweep::Group;

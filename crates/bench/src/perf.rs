@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use abe_core::delay::Exponential;
 use abe_core::fault::{EdgeSelector, FaultPlan};
-use abe_election::{run_abe_calibrated, RingConfig};
+use abe_election::{run_abe_calibrated, RingConfig, Substrate};
 use abe_sim::{EventQueue, EventToken, HeapQueue, QueueStats, SimTime, SplitMix64};
 use abe_stats::json_f64;
 

@@ -28,7 +28,7 @@ use crate::experiments::{e17_adversary, e1_messages};
 use crate::sweep::{Cell, SweepSpec};
 use crate::RunCtx;
 
-use abe_election::run_abe_calibrated;
+use abe_election::{run_abe_calibrated, Substrate};
 
 /// One re-run of a single grid cell, with optional telemetry capture.
 #[derive(Debug)]

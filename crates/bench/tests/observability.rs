@@ -15,10 +15,11 @@
 //! the `trace --check` CI job; this file covers the sweep-level story.
 
 use abe_bench::experiments::e1_messages;
-use abe_bench::sweep::{self, run_sweep, Cell, CellMetrics};
+use abe_bench::sweep::{self, run_sweep, Cell, CellMetrics, SweepSpec};
 use abe_bench::{trace_cli, RunCtx, Scale};
 use abe_core::Recording;
-use abe_election::run_abe_calibrated;
+use abe_election::{run_abe_calibrated, Substrate};
+use abe_scenario::{compile, parse};
 
 /// Removes the run-specific `"engine":{...},` stanza (flat object — no
 /// nested braces) so the rest of the document is a pure function of the
@@ -49,9 +50,7 @@ fn e1_smoke_document_is_pinned_with_recording_off() {
 #[test]
 fn sweep_telemetry_budget_attaches_hists_without_perturbing_metrics() {
     let ctx = RunCtx::smoke();
-    // Aggregate-only budget: retain nothing, histogram everything.
-    let spec = || e1_messages::spec(&ctx).telemetry(Recording::ring(0).histograms(true));
-    let run_cell = |cell: &Cell| {
+    let handwritten = |cell: &Cell| {
         let mut cfg = e1_messages::cell_config(&ctx, cell);
         if let Some(r) = cell.recording() {
             cfg = cfg.record(r.clone());
@@ -63,9 +62,25 @@ fn sweep_telemetry_budget_attaches_hists_without_perturbing_metrics() {
         }
         metrics
     };
+    assert_hists_attach_without_perturbing(|| e1_messages::spec(&ctx), handwritten);
 
-    let single = run_sweep(&spec(), 1, run_cell).unwrap();
-    let parallel = run_sweep(&spec(), 4, run_cell).unwrap();
+    // The compiled `.abes` port reads the budget off the cell itself.
+    let text = include_str!("../../../scenarios/e1_messages.abes");
+    let compiled = compile(&parse(text).unwrap()).unwrap();
+    assert_hists_attach_without_perturbing(|| compiled.spec(), |cell| compiled.run_cell(cell));
+}
+
+/// Runs `spec` under an aggregate-only telemetry budget and checks that
+/// every cell carries hist-v1 at any worker count while its metrics equal
+/// the untraced sweep's.
+fn assert_hists_attach_without_perturbing(
+    spec: impl Fn() -> SweepSpec,
+    run_cell: impl Fn(&Cell) -> CellMetrics + Send + Sync,
+) {
+    // Aggregate-only budget: retain nothing, histogram everything.
+    let traced = || spec().telemetry(Recording::ring(0).histograms(true));
+    let single = run_sweep(&traced(), 1, &run_cell).unwrap();
+    let parallel = run_sweep(&traced(), 4, &run_cell).unwrap();
     assert_eq!(single.metrics_json(), parallel.metrics_json());
     assert!(single.metrics_json().contains("\"hist\":{"));
     assert!(single.metrics_json().contains("abe/hist-v1"));
@@ -74,13 +89,10 @@ fn sweep_telemetry_budget_attaches_hists_without_perturbing_metrics() {
     }
 
     // The recorded metrics equal the untraced sweep's, cell for cell.
-    let untraced = run_sweep(&e1_messages::spec(&ctx), 1, |cell| {
-        let o = run_abe_calibrated(&e1_messages::cell_config(&ctx, cell), e1_messages::A);
-        CellMetrics::new().with_election(&o)
-    })
-    .unwrap();
+    let untraced = run_sweep(&spec(), 1, &run_cell).unwrap();
     assert_eq!(single.cells.len(), untraced.cells.len());
     for (traced, plain) in single.cells.iter().zip(&untraced.cells) {
+        assert!(plain.metrics.hist().is_none(), "{}", plain.cell.label());
         assert_eq!(
             traced.metrics.get("messages"),
             plain.metrics.get("messages"),

@@ -255,7 +255,7 @@ mod adversary_regression {
     use abe_bench::experiments::{e17_adversary, e18_reorder_sync};
     use abe_bench::sweep::CellMetrics;
     use abe_core::AdversaryPlan;
-    use abe_election::{run_abe_calibrated, RingConfig};
+    use abe_election::{run_abe_calibrated, RingConfig, Substrate};
     use std::sync::Arc;
 
     #[test]
@@ -579,7 +579,7 @@ mod fault_regression {
     use abe_bench::experiments::{e14_crash_churn, e15_partitions};
     use abe_bench::sweep::CellMetrics;
     use abe_core::fault::FaultPlan;
-    use abe_election::{run_abe_calibrated, RingConfig};
+    use abe_election::{run_abe_calibrated, RingConfig, Substrate};
     use std::sync::Arc;
 
     #[test]

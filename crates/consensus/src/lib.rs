@@ -32,7 +32,7 @@
 //! ## Example
 //!
 //! ```
-//! use abe_consensus::{run_benor, ConsensusConfig, InputAssignment};
+//! use abe_consensus::{run_benor, ConsensusConfig, InputAssignment, Substrate};
 //! use abe_core::fault::OutcomeClass;
 //!
 //! let cfg = ConsensusConfig::new(7, 2).seed(11);
@@ -52,6 +52,7 @@ pub mod brb;
 pub mod bv;
 pub mod runner;
 
+pub use abe_core::Substrate;
 pub use benor::{BenOr, BenOrMsg, COIN_DOMAIN};
 pub use brb::{Brb, BrbMsg};
 pub use bv::{BvBroadcast, BvMsg};
@@ -66,6 +67,7 @@ mod tests {
 
     use abe_core::delay::Uniform;
     use abe_core::fault::{FaultPlan, OutcomeClass};
+    use abe_core::{Recording, RunRecorder, TraceEvent};
 
     use super::*;
 
@@ -169,6 +171,29 @@ mod tests {
         let o = run_bv(&cfg, InputAssignment::Unanimous(true));
         assert_eq!(o.class(), OutcomeClass::Decided);
         assert!(o.bin_values.iter().all(|&set| set == (false, true)));
+    }
+
+    #[test]
+    fn brb_and_bv_hand_back_their_recorder() {
+        let plain = ConsensusConfig::new(4, 1).seed(6);
+        let recorded = plain.clone().record(Recording::full());
+        let delivers = |rec: Option<Box<RunRecorder>>| {
+            rec.expect("recording on")
+                .records()
+                .filter(|r| matches!(r.event, TraceEvent::Deliver { .. }))
+                .count()
+        };
+
+        let (a, b) = (run_brb(&plain, 7), run_brb(&recorded, 7));
+        assert!(a.telemetry.is_none());
+        assert_eq!(a.report, b.report);
+        assert!(delivers(b.telemetry) > 0);
+
+        let split = InputAssignment::Split;
+        let (a, b) = (run_bv(&plain, split), run_bv(&recorded, split));
+        assert!(a.telemetry.is_none());
+        assert_eq!(a.report, b.report);
+        assert!(delivers(b.telemetry) > 0);
     }
 
     #[test]

@@ -3,17 +3,14 @@
 //!
 //! The experiment harness, the scenario compiler, and the safety-oracle
 //! suite all go through these, so the measurement conventions (what counts
-//! as a quorum, which runs are violations) live in exactly one place —
-//! mirroring [`abe_election`'s runners](https://docs.rs) for rings.
+//! as a quorum, which runs are violations) live in exactly one place. The
+//! run substrate is the [`RunSpec`] every workload shares, so the
+//! setters, defaults and execution path match the ring-election and
+//! state-sync runners.
 
-use std::sync::Arc;
-
-use abe_core::adversary::AdversaryPlan;
-use abe_core::clock::ClockSpec;
-use abe_core::delay::{Exponential, SharedDelay};
-use abe_core::fault::{FaultPlan, OutcomeClass};
-use abe_core::{NetworkBuilder, NetworkReport, Recording, RunRecorder, Topology};
-use abe_sim::{RunLimits, SeedStream};
+use abe_core::fault::OutcomeClass;
+use abe_core::{Network, NetworkReport, Protocol, RunRecorder, RunSpec, Substrate, Topology};
+use abe_sim::SeedStream;
 
 use crate::benor::{BenOr, COIN_DOMAIN};
 use crate::brb::Brb;
@@ -41,34 +38,14 @@ pub struct ConsensusConfig {
     /// Declared fault budget `f` (quorum sizes derive from it; protocol
     /// runners assert their own resilience bound against it).
     pub f: u32,
-    /// Delay model applied to every edge.
-    pub delay: SharedDelay,
-    /// Clock population (defaults to perfect clocks).
-    pub clocks: ClockSpec,
-    /// Master seed for the run.
-    pub seed: u64,
-    /// FIFO channels (defaults to `false`: arbitrary reordering).
-    pub fifo: bool,
-    /// Event budget; runs exceeding it are classified as stalled.
-    pub max_events: u64,
-    /// Optional virtual-time horizon (seconds).
-    pub max_time: Option<f64>,
-    /// Fault-injection plan (defaults to empty: no faults).
-    pub fault: FaultPlan,
-    /// Scheduling-adversary plan (defaults to empty: oblivious delays).
-    pub adversary: AdversaryPlan,
-    /// Shard count for deterministic parallel execution (defaults to 1).
-    pub shards: u32,
-    /// Optional telemetry recording budget (defaults to `None`: no
-    /// recording). Recording never perturbs the run; the Ben-Or runner
-    /// exposes the captured recorder on
-    /// [`ConsensusOutcome::telemetry`].
-    pub record: Option<Recording>,
+    /// The run substrate, set through the [`Substrate`] setters. A
+    /// recording budget lands on each outcome's `telemetry` field.
+    pub run: RunSpec,
 }
 
 impl ConsensusConfig {
-    /// A complete graph of size `n` with fault budget `f`, exponential
-    /// delays of mean 1, and defaults everywhere else.
+    /// A complete graph of size `n` with fault budget `f` on the default
+    /// [`RunSpec`].
     ///
     /// # Panics
     ///
@@ -79,112 +56,32 @@ impl ConsensusConfig {
         Self {
             n,
             f,
-            delay: Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
-            clocks: ClockSpec::perfect(),
-            seed: 0,
-            fifo: false,
-            max_events: 5_000_000,
-            max_time: None,
-            fault: FaultPlan::new(),
-            adversary: AdversaryPlan::none(),
-            shards: 1,
-            record: None,
+            run: RunSpec::new(),
         }
     }
 
-    /// Replaces the delay model.
-    pub fn delay(mut self, delay: SharedDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Replaces the clock specification.
-    pub fn clocks(mut self, clocks: ClockSpec) -> Self {
-        self.clocks = clocks;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables FIFO channels.
-    pub fn fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
-    }
-
-    /// Installs a fault-injection plan for the run.
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a budgeted scheduling-adversary plan for the run.
-    pub fn adversary(mut self, adversary: AdversaryPlan) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Replaces the event budget (stall detection under heavy churn).
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
-    /// Caps the run at a virtual-time horizon (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_time` is not finite and non-negative.
-    #[track_caller]
-    pub fn max_time(mut self, max_time: f64) -> Self {
-        assert!(
-            max_time.is_finite() && max_time >= 0.0,
-            "max_time must be finite and non-negative, got {max_time}"
-        );
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// Sets the shard count for deterministic parallel execution (see
-    /// [`abe_core::shard`]); `1` (the default) runs sequentially.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Enables telemetry recording for the run (see
-    /// [`abe_core::Recording`]).
-    pub fn record(mut self, record: Recording) -> Self {
-        self.record = Some(record);
-        self
-    }
-
-    fn builder(&self) -> NetworkBuilder {
+    /// Builds `K_n` with one protocol per node and runs it.
+    fn run_nodes<P>(
+        &self,
+        node: impl FnMut(usize) -> P,
+    ) -> (NetworkReport, Network<P>, Option<Box<RunRecorder>>)
+    where
+        P: Protocol + Clone + Send,
+        P::Message: Send,
+    {
         let topo = Topology::complete(self.n).expect("n >= 1 was validated");
-        let builder = NetworkBuilder::new(topo)
-            .delay_shared(Arc::clone(&self.delay))
-            .clocks(self.clocks)
-            .fifo(self.fifo)
-            .seed(self.seed)
-            .fault(self.fault.clone())
-            .adversary(self.adversary.clone())
-            .shards(self.shards);
-        match &self.record {
-            Some(r) => builder.record(r.clone()),
-            None => builder,
-        }
+        let net = self
+            .run
+            .network(topo)
+            .build(node)
+            .expect("complete-graph configuration is structurally valid");
+        self.run.run(net)
     }
+}
 
-    fn limits(&self) -> RunLimits {
-        let limits = RunLimits::events(self.max_events);
-        match self.max_time {
-            Some(t) => limits.with_max_time(abe_sim::SimTime::from_secs(t)),
-            None => limits,
-        }
+impl Substrate for ConsensusConfig {
+    fn spec_mut(&mut self) -> &mut RunSpec {
+        &mut self.run
     }
 }
 
@@ -210,23 +107,6 @@ impl InputAssignment {
     }
 }
 
-/// Runs `net` under the config's limits, sharded when the config asks for
-/// it — the single place deciding sequential vs parallel execution.
-fn execute<P>(
-    cfg: &ConsensusConfig,
-    net: abe_core::Network<P>,
-) -> (NetworkReport, abe_core::Network<P>)
-where
-    P: abe_core::Protocol + Clone + Send,
-    P::Message: Send,
-{
-    if cfg.shards > 1 {
-        net.run_sharded(cfg.limits())
-    } else {
-        net.run(cfg.limits())
-    }
-}
-
 /// Measured outcome of one Ben-Or run.
 #[derive(Debug, Clone)]
 pub struct ConsensusOutcome {
@@ -246,8 +126,7 @@ pub struct ConsensusOutcome {
     pub time: f64,
     /// The full network report (counters etc.).
     pub report: NetworkReport,
-    /// Captured telemetry, when [`ConsensusConfig::record`] enabled
-    /// recording.
+    /// Captured telemetry, when [`Substrate::record`] enabled recording.
     pub telemetry: Option<Box<RunRecorder>>,
 }
 
@@ -295,23 +174,18 @@ impl ConsensusOutcome {
 ///
 /// Panics unless `n > 2f` (the crash-consensus resilience bound).
 pub fn run_benor(cfg: &ConsensusConfig, inputs: InputAssignment) -> ConsensusOutcome {
-    let coins = SeedStream::new(cfg.seed);
+    let coins = SeedStream::new(cfg.run.seed);
     let (n, f) = (cfg.n, cfg.f);
-    let net = cfg
-        .builder()
-        .build(|i| {
-            let i = i as u32;
-            BenOr::new(
-                i,
-                n,
-                f,
-                inputs.input(i),
-                coins.stream(COIN_DOMAIN, u64::from(i)),
-            )
-        })
-        .expect("complete-graph configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let telemetry = net.take_telemetry();
+    let (report, net, telemetry) = cfg.run_nodes(|i| {
+        let i = i as u32;
+        BenOr::new(
+            i,
+            n,
+            f,
+            inputs.input(i),
+            coins.stream(COIN_DOMAIN, u64::from(i)),
+        )
+    });
     let nodes = net.into_protocols();
     ConsensusOutcome {
         n,
@@ -347,6 +221,8 @@ pub struct BrbOutcome {
     pub time: f64,
     /// The full network report (counters etc.).
     pub report: NetworkReport,
+    /// Captured telemetry, when [`Substrate::record`] enabled recording.
+    pub telemetry: Option<Box<RunRecorder>>,
 }
 
 impl BrbOutcome {
@@ -395,11 +271,8 @@ impl BrbOutcome {
 /// Panics unless `n > 3f` (the Byzantine quorum bound).
 pub fn run_brb(cfg: &ConsensusConfig, payload: u32) -> BrbOutcome {
     let (n, f) = (cfg.n, cfg.f);
-    let net = cfg
-        .builder()
-        .build(|i| Brb::new(i as u32, n, f, (i == 0).then_some(payload)))
-        .expect("complete-graph configuration is structurally valid");
-    let (report, net) = execute(cfg, net);
+    let (report, net, telemetry) =
+        cfg.run_nodes(|i| Brb::new(i as u32, n, f, (i == 0).then_some(payload)));
     let nodes = net.into_protocols();
     BrbOutcome {
         n,
@@ -411,6 +284,7 @@ pub fn run_brb(cfg: &ConsensusConfig, payload: u32) -> BrbOutcome {
         mismatched: nodes.iter().any(|p| p.mismatched()),
         time: report.end_time.as_secs(),
         report,
+        telemetry,
     }
 }
 
@@ -429,6 +303,8 @@ pub struct BvOutcome {
     pub time: f64,
     /// The full network report (counters etc.).
     pub report: NetworkReport,
+    /// Captured telemetry, when [`Substrate::record`] enabled recording.
+    pub telemetry: Option<Box<RunRecorder>>,
 }
 
 impl BvOutcome {
@@ -474,14 +350,10 @@ impl BvOutcome {
 /// Panics unless `n > 3f` (the Byzantine quorum bound).
 pub fn run_bv(cfg: &ConsensusConfig, inputs: InputAssignment) -> BvOutcome {
     let (n, f) = (cfg.n, cfg.f);
-    let net = cfg
-        .builder()
-        .build(|i| {
-            let i = i as u32;
-            BvBroadcast::new(i, n, f, inputs.input(i))
-        })
-        .expect("complete-graph configuration is structurally valid");
-    let (report, net) = execute(cfg, net);
+    let (report, net, telemetry) = cfg.run_nodes(|i| {
+        let i = i as u32;
+        BvBroadcast::new(i, n, f, inputs.input(i))
+    });
     let nodes = net.into_protocols();
     BvOutcome {
         n,
@@ -490,5 +362,6 @@ pub fn run_bv(cfg: &ConsensusConfig, inputs: InputAssignment) -> BvOutcome {
         bin_values: nodes.iter().map(|p| p.bin_values()).collect(),
         time: report.end_time.as_secs(),
         report,
+        telemetry,
     }
 }

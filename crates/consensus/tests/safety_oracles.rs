@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_consensus::{
     run_benor, run_brb, run_bv, BrbOutcome, BvOutcome, ConsensusConfig, ConsensusOutcome,
-    InputAssignment,
+    InputAssignment, Substrate,
 };
 use abe_core::adversary::AdversaryPlan;
 use abe_core::delay::{Deterministic, Exponential, Pareto, SharedDelay, Uniform};

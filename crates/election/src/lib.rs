@@ -25,7 +25,7 @@
 //! ## Example
 //!
 //! ```
-//! use abe_election::{run_abe_calibrated, RingConfig};
+//! use abe_election::{run_abe_calibrated, RingConfig, Substrate};
 //!
 //! // A0 calibrated to a/n² — the regime in which the linear bounds hold.
 //! let outcome = run_abe_calibrated(&RingConfig::new(32).seed(7), 1.0);
@@ -51,6 +51,7 @@ pub mod runner;
 mod state;
 
 pub use abe::AbeElection;
+pub use abe_core::Substrate;
 pub use chang_roberts::ChangRoberts;
 pub use fixed::FixedActivation;
 pub use itai_rodeh::{IrToken, ItaiRodeh};

@@ -5,14 +5,9 @@
 //! measurement conventions (what counts as "time", when a run is considered
 //! terminated) live in exactly one place.
 
-use std::sync::Arc;
-
-use abe_core::adversary::AdversaryPlan;
-use abe_core::clock::ClockSpec;
-use abe_core::delay::{Exponential, SharedDelay};
-use abe_core::fault::{FaultPlan, OutcomeClass};
-use abe_core::{NetworkBuilder, NetworkReport, Recording, RunRecorder, Topology};
-use abe_sim::{RunLimits, SeedStream};
+use abe_core::fault::OutcomeClass;
+use abe_core::{NetworkReport, Protocol, RunRecorder, RunSpec, Substrate, Topology};
+use abe_sim::SeedStream;
 use rand::RngExt;
 
 use crate::abe::AbeElection;
@@ -41,38 +36,15 @@ pub enum RingKind {
 pub struct RingConfig {
     /// Ring size `n ≥ 1`.
     pub n: u32,
-    /// Delay model applied to every ring edge.
-    pub delay: SharedDelay,
-    /// Clock population (defaults to perfect clocks).
-    pub clocks: ClockSpec,
-    /// Master seed for the run.
-    pub seed: u64,
-    /// FIFO channels (defaults to `false`: arbitrary reordering).
-    pub fifo: bool,
-    /// Event budget; runs exceeding it report `terminated = false`.
-    pub max_events: u64,
-    /// Optional virtual-time horizon (seconds); `None` runs to the event
-    /// budget, stop, or quiescence.
-    pub max_time: Option<f64>,
     /// Ring orientation (defaults to the paper's unidirectional ring).
     pub kind: RingKind,
-    /// Fault-injection plan (defaults to empty: no faults).
-    pub fault: FaultPlan,
-    /// Scheduling-adversary plan (defaults to empty: oblivious delays).
-    pub adversary: AdversaryPlan,
-    /// Shard count for deterministic parallel execution (defaults to 1:
-    /// sequential). Any value produces an identical [`NetworkReport`];
-    /// see [`abe_core::shard`].
-    pub shards: u32,
-    /// Optional telemetry recording budget (defaults to `None`: no
-    /// recording). Recording never perturbs the run; the captured
-    /// recorder lands on [`ElectionOutcome::telemetry`].
-    pub record: Option<Recording>,
+    /// The run substrate, set through the [`Substrate`] setters. A
+    /// recording budget lands on [`ElectionOutcome::telemetry`].
+    pub run: RunSpec,
 }
 
 impl RingConfig {
-    /// A ring of size `n` with exponential delays of mean 1 and defaults
-    /// everywhere else.
+    /// A ring of size `n` on the default [`RunSpec`].
     ///
     /// # Panics
     ///
@@ -81,42 +53,9 @@ impl RingConfig {
         assert!(n >= 1, "ring size must be at least 1");
         Self {
             n,
-            delay: Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
-            clocks: ClockSpec::perfect(),
-            seed: 0,
-            fifo: false,
-            max_events: 5_000_000,
-            max_time: None,
             kind: RingKind::Unidirectional,
-            fault: FaultPlan::new(),
-            adversary: AdversaryPlan::none(),
-            shards: 1,
-            record: None,
+            run: RunSpec::new(),
         }
-    }
-
-    /// Replaces the delay model.
-    pub fn delay(mut self, delay: SharedDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Replaces the clock specification.
-    pub fn clocks(mut self, clocks: ClockSpec) -> Self {
-        self.clocks = clocks;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables FIFO channels.
-    pub fn fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
     }
 
     /// Sets the ring orientation.
@@ -125,98 +64,40 @@ impl RingConfig {
         self
     }
 
-    /// Installs a fault-injection plan for the run.
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a budgeted scheduling-adversary plan for the run.
-    pub fn adversary(mut self, adversary: AdversaryPlan) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Replaces the event budget. Fault experiments lower it: a run that
-    /// loses a token can livelock (an Active node with no token in flight
-    /// purges every later token forever), so stalls are detected by
-    /// exhausting the budget rather than by quiescence.
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
-    /// Caps the run at a virtual-time horizon (seconds). Useful for
-    /// fixed-duration throughput measurements where the run should end at
-    /// `MaxTime` rather than at an election-dependent stop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_time` is not finite and non-negative.
-    #[track_caller]
-    pub fn max_time(mut self, max_time: f64) -> Self {
-        assert!(
-            max_time.is_finite() && max_time >= 0.0,
-            "max_time must be finite and non-negative, got {max_time}"
-        );
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// Sets the shard count for deterministic parallel execution (see
-    /// [`abe_core::shard`]); `1` (the default) runs sequentially.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Enables telemetry recording for the run (see
-    /// [`abe_core::Recording`]).
-    pub fn record(mut self, record: Recording) -> Self {
-        self.record = Some(record);
-        self
-    }
-
-    fn builder(&self) -> NetworkBuilder {
+    /// Builds the ring with one protocol per node, runs it, and counts the
+    /// nodes for which `is_leader` holds.
+    fn elect<P>(&self, node: impl FnMut(usize) -> P, is_leader: fn(&P) -> bool) -> ElectionOutcome
+    where
+        P: Protocol + Clone + Send,
+        P::Message: Send,
+    {
         let topo = match self.kind {
             RingKind::Unidirectional => Topology::unidirectional_ring(self.n),
             RingKind::Bidirectional => Topology::bidirectional_ring(self.n),
         }
         .expect("n >= 1 was validated");
-        let builder = NetworkBuilder::new(topo)
-            .delay_shared(Arc::clone(&self.delay))
-            .clocks(self.clocks)
-            .fifo(self.fifo)
-            .seed(self.seed)
-            .fault(self.fault.clone())
-            .adversary(self.adversary.clone())
-            .shards(self.shards);
-        match &self.record {
-            Some(r) => builder.record(r.clone()),
-            None => builder,
-        }
-    }
-
-    fn limits(&self) -> RunLimits {
-        let limits = RunLimits::events(self.max_events);
-        match self.max_time {
-            Some(t) => limits.with_max_time(abe_sim::SimTime::from_secs(t)),
-            None => limits,
+        let net = self
+            .run
+            .network(topo)
+            .build(node)
+            .expect("ring configuration is structurally valid");
+        let (report, net, telemetry) = self.run.run(net);
+        let leaders = net.protocols().filter(|p| is_leader(p)).count();
+        ElectionOutcome {
+            terminated: report.outcome.is_stopped(),
+            leaders,
+            messages: report.messages_sent,
+            time: report.end_time.as_secs(),
+            ticks: report.ticks,
+            report,
+            telemetry,
         }
     }
 }
 
-/// Runs `net` under the config's limits, sharded when the config asks for
-/// it — the single place deciding sequential vs parallel execution.
-fn execute<P>(cfg: &RingConfig, net: abe_core::Network<P>) -> (NetworkReport, abe_core::Network<P>)
-where
-    P: abe_core::Protocol + Clone + Send,
-    P::Message: Send,
-{
-    if cfg.shards > 1 {
-        net.run_sharded(cfg.limits())
-    } else {
-        net.run(cfg.limits())
+impl Substrate for RingConfig {
+    fn spec_mut(&mut self) -> &mut RunSpec {
+        &mut self.run
     }
 }
 
@@ -235,7 +116,7 @@ pub struct ElectionOutcome {
     pub ticks: u64,
     /// The full network report (counters etc.).
     pub report: NetworkReport,
-    /// Captured telemetry, when [`RingConfig::record`] enabled recording:
+    /// Captured telemetry, when [`Substrate::record`] enabled recording:
     /// retained trace records, seen/dropped counts, optional histograms.
     pub telemetry: Option<Box<RunRecorder>>,
 }
@@ -255,22 +136,6 @@ impl ElectionOutcome {
             _ => OutcomeClass::WrongLeader,
         }
     }
-
-    fn from_report(
-        report: NetworkReport,
-        leaders: usize,
-        telemetry: Option<Box<RunRecorder>>,
-    ) -> Self {
-        Self {
-            terminated: report.outcome.is_stopped(),
-            leaders,
-            messages: report.messages_sent,
-            time: report.end_time.as_secs(),
-            ticks: report.ticks,
-            report,
-            telemetry,
-        }
-    }
 }
 
 /// Runs the paper's §3 algorithm with activation parameter `a0`.
@@ -279,17 +144,10 @@ impl ElectionOutcome {
 ///
 /// Panics if `a0` is outside `(0, 1)` (configuration error in the caller).
 pub fn run_abe(cfg: &RingConfig, a0: f64) -> ElectionOutcome {
-    let net = cfg
-        .builder()
-        .build(|_| AbeElection::new(cfg.n, a0).expect("a0 validated by caller"))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net
-        .protocols()
-        .filter(|p| p.state() == ElectionState::Leader)
-        .count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    cfg.elect(
+        |_| AbeElection::new(cfg.n, a0).expect("a0 validated by caller"),
+        |p| p.state() == ElectionState::Leader,
+    )
 }
 
 /// Runs the paper's §3 algorithm with `A0 = a / n²`, the calibration under
@@ -300,17 +158,10 @@ pub fn run_abe(cfg: &RingConfig, a0: f64) -> ElectionOutcome {
 ///
 /// Panics if `a` is not finite and positive.
 pub fn run_abe_calibrated(cfg: &RingConfig, a: f64) -> ElectionOutcome {
-    let net = cfg
-        .builder()
-        .build(|_| AbeElection::calibrated(cfg.n, a).expect("a validated by caller"))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net
-        .protocols()
-        .filter(|p| p.state() == ElectionState::Leader)
-        .count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    cfg.elect(
+        |_| AbeElection::calibrated(cfg.n, a).expect("a validated by caller"),
+        |p| p.state() == ElectionState::Leader,
+    )
 }
 
 /// Runs the fixed-activation ablation with constant probability `a0`.
@@ -319,57 +170,32 @@ pub fn run_abe_calibrated(cfg: &RingConfig, a: f64) -> ElectionOutcome {
 ///
 /// Panics if `a0` is outside `(0, 1)`.
 pub fn run_fixed(cfg: &RingConfig, a0: f64) -> ElectionOutcome {
-    let net = cfg
-        .builder()
-        .build(|_| FixedActivation::new(cfg.n, a0).expect("a0 validated by caller"))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net
-        .protocols()
-        .filter(|p| p.state() == ElectionState::Leader)
-        .count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    cfg.elect(
+        |_| FixedActivation::new(cfg.n, a0).expect("a0 validated by caller"),
+        |p| p.state() == ElectionState::Leader,
+    )
 }
 
 /// Runs Itai–Rodeh (anonymous asynchronous baseline).
 pub fn run_itai_rodeh(cfg: &RingConfig) -> ElectionOutcome {
-    let net = cfg
-        .builder()
-        .build(|_| ItaiRodeh::new(cfg.n).expect("n >= 1 was validated"))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net.protocols().filter(|p| p.is_leader()).count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    cfg.elect(
+        |_| ItaiRodeh::new(cfg.n).expect("n >= 1 was validated"),
+        ItaiRodeh::is_leader,
+    )
 }
 
 /// Runs Chang–Roberts with a random unique-identity assignment derived
 /// from the config seed.
 pub fn run_chang_roberts(cfg: &RingConfig) -> ElectionOutcome {
-    let ids = random_permutation(cfg.n, cfg.seed);
-    let net = cfg
-        .builder()
-        .build(|i| ChangRoberts::new(ids[i]))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net.protocols().filter(|p| p.is_leader()).count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    let ids = random_permutation(cfg.n, cfg.run.seed);
+    cfg.elect(|i| ChangRoberts::new(ids[i]), ChangRoberts::is_leader)
 }
 
 /// Runs Peterson's algorithm with a random unique-identity assignment
 /// derived from the config seed.
 pub fn run_peterson(cfg: &RingConfig) -> ElectionOutcome {
-    let ids = random_permutation(cfg.n, cfg.seed);
-    let net = cfg
-        .builder()
-        .build(|i| Peterson::new(ids[i]))
-        .expect("ring configuration is structurally valid");
-    let (report, mut net) = execute(cfg, net);
-    let leaders = net.protocols().filter(|p| p.is_leader()).count();
-    let telemetry = net.take_telemetry();
-    ElectionOutcome::from_report(report, leaders, telemetry)
+    let ids = random_permutation(cfg.n, cfg.run.seed);
+    cfg.elect(|i| Peterson::new(ids[i]), Peterson::is_leader)
 }
 
 /// A uniformly random permutation of `1..=n` (Fisher–Yates) used as the
@@ -387,6 +213,7 @@ pub fn random_permutation(n: u32, seed: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abe_core::fault::FaultPlan;
 
     #[test]
     fn all_runners_elect_exactly_one_leader() {

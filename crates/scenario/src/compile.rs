@@ -19,7 +19,7 @@ use abe_adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_consensus::{default_faulty, run_benor, run_brb, ConsensusConfig, InputAssignment};
 use abe_core::delay::{Deterministic, Exponential, Pareto, SharedDelay, Uniform, Weibull};
 use abe_core::fault::FaultPlan;
-use abe_core::{AdversaryPlan, OutcomeClass};
+use abe_core::{AdversaryPlan, OutcomeClass, RunRecorder, RunSpec, Substrate};
 use abe_election::{
     run_abe, run_abe_calibrated, run_chang_roberts, run_itai_rodeh, run_peterson, ElectionOutcome,
     RingConfig, RingKind,
@@ -748,18 +748,16 @@ impl CompiledScenario {
             })
     }
 
-    /// Builds the cell's ring configuration, exactly as the hand-written
+    /// Builds the cell's run substrate, exactly as the hand-written
     /// experiments do: a fault plan is only installed when the scenario
-    /// has a `fault` stanza and an adversary plan only when the resolved
-    /// strategy tampers — an absent stanza leaves the builder defaults,
-    /// which the sweep regression tests prove byte-identical to empty
-    /// plans.
-    fn cell_config(&self, cell: &Cell) -> RingConfig {
-        let n = self.cell_n(cell);
-        let mut cfg = RingConfig::new(n)
+    /// has a `fault` stanza and an adversary plan only when one resolves
+    /// — an absent stanza leaves the defaults, which the sweep regression
+    /// tests prove byte-identical to empty plans. The sweep's telemetry
+    /// budget, when set, is installed as the recording budget.
+    fn cell_run(&self, cell: &Cell, n: u32) -> RunSpec {
+        let mut run = RunSpec::new()
             .delay(self.cell_delay(cell))
             .seed(cell.seed())
-            .kind(self.cell_kind(cell))
             .max_events(self.scenario.max_events)
             .shards(self.shards);
         if let Some(fault) = &self.scenario.fault {
@@ -767,7 +765,7 @@ impl CompiledScenario {
                 Bind::Fixed(v) => v,
                 Bind::Axis => cell.u32("churn"),
             };
-            cfg = cfg.fault(FaultPlan::churn(
+            run = run.fault(FaultPlan::churn(
                 n,
                 events,
                 fault.horizon,
@@ -776,9 +774,10 @@ impl CompiledScenario {
             ));
         }
         if let Some(plan) = self.cell_adversary(cell) {
-            cfg = cfg.adversary(plan);
+            run = run.adversary(plan);
         }
-        cfg
+        run.record = cell.recording().cloned();
+        run
     }
 
     fn run_protocol(&self, cfg: &RingConfig) -> ElectionOutcome {
@@ -797,8 +796,7 @@ impl CompiledScenario {
         }
     }
 
-    /// This cell's adversary plan, when a stanza is present (shared by
-    /// the ring and the complete-graph configuration builders).
+    /// This cell's adversary plan, when a stanza is present.
     fn cell_adversary(&self, cell: &Cell) -> Option<AdversaryPlan> {
         let adv = self.scenario.adversary.as_ref()?;
         let strategy = self.cell_strategy(cell).expect("stanza present");
@@ -822,53 +820,25 @@ impl CompiledScenario {
         })
     }
 
-    /// Builds the cell's complete-graph consensus configuration, exactly
-    /// as the hand-written e19/e20 experiments do: `faulty` defaults to
-    /// the largest legal budget `(n - 1) / 3` derived per cell, the
-    /// fault plan is seeded with the e14 churn idiom, and an adversary
-    /// plan is installed only when a stanza resolves to a strategy.
-    fn cell_consensus_config(&self, cell: &Cell) -> ConsensusConfig {
-        let n = self.cell_n(cell);
-        let f = self.scenario.faulty.unwrap_or_else(|| default_faulty(n));
-        let mut cfg = ConsensusConfig::new(n, f)
-            .delay(self.cell_delay(cell))
-            .seed(cell.seed())
-            .max_events(self.scenario.max_events)
-            .shards(self.shards);
-        if let Some(fault) = &self.scenario.fault {
-            let events = match fault.events {
-                Bind::Fixed(v) => v,
-                Bind::Axis => cell.u32("churn"),
-            };
-            cfg = cfg.fault(FaultPlan::churn(
-                n,
-                events,
-                fault.horizon,
-                fault.downtime,
-                SeedStream::new(cell.seed()).child_seed("churn-plan", 0),
-            ));
-        }
-        if let Some(plan) = self.cell_adversary(cell) {
-            cfg = cfg.adversary(plan);
-        }
-        cfg
-    }
-
     /// Runs one consensus cell: the e19/e20 metric set — outcome-class
     /// indicators plus progress and complexity — with fault telemetry
     /// iff the scenario injects faults and adversary telemetry iff the
     /// cell's resolved strategy tampers, so declarative consensus ports
     /// stay byte-comparable with their hand-written originals.
-    fn consensus_metrics(&self, cell: &Cell) -> CellMetrics {
-        let cfg = self.cell_consensus_config(cell);
-        let (mut metrics, report) = match self.scenario.protocol {
+    fn consensus_metrics(&self, cell: &Cell, n: u32, run: RunSpec) -> Metered {
+        let f = self.scenario.faulty.unwrap_or_else(|| default_faulty(n));
+        let cfg = ConsensusConfig {
+            run,
+            ..ConsensusConfig::new(n, f)
+        };
+        let (mut metrics, report, telemetry) = match self.scenario.protocol {
             ProtocolSpec::Benor => {
                 let o = run_benor(&cfg, InputAssignment::Split);
-                (CellMetrics::new().with_consensus(&o), o.report)
+                (CellMetrics::new().with_consensus(&o), o.report, o.telemetry)
             }
             ProtocolSpec::Brb => {
                 let o = run_brb(&cfg, BRB_PAYLOAD);
-                (CellMetrics::new().with_brb(&o), o.report)
+                (CellMetrics::new().with_brb(&o), o.report, o.telemetry)
             }
             _ => unreachable!("record consensus requires a consensus protocol"),
         };
@@ -878,56 +848,28 @@ impl CompiledScenario {
         if self.scenario.adversary.is_some() && self.cell_strategy(cell) != Some("none") {
             metrics = metrics.with_adversary(&report);
         }
-        metrics
-    }
-
-    /// Builds the cell's anti-entropy configuration, exactly as the
-    /// hand-written e21/e22 experiments do: divergence from the
-    /// directive or its axis, the cell's delay family, the e14 churn
-    /// idiom for the fault plan, and an adversary plan only when a
-    /// stanza resolves to a strategy.
-    fn cell_sync_config(&self, cell: &Cell) -> SyncConfig {
-        let ProtocolSpec::Antientropy { key_space } = self.scenario.protocol else {
-            unreachable!("record sync requires `protocol antientropy`")
-        };
-        let n = self.cell_n(cell);
-        let divergence = match self.scenario.divergence {
-            Some(Bind::Fixed(d)) => d,
-            Some(Bind::Axis) => cell.f64("divergence"),
-            None => unreachable!("divergence required by compile"),
-        };
-        let mut cfg = SyncConfig::new(n, key_space)
-            .divergence(divergence)
-            .delay(self.cell_delay(cell))
-            .seed(cell.seed())
-            .max_events(self.scenario.max_events)
-            .shards(self.shards);
-        if let Some(fault) = &self.scenario.fault {
-            let events = match fault.events {
-                Bind::Fixed(v) => v,
-                Bind::Axis => cell.u32("churn"),
-            };
-            cfg = cfg.fault(FaultPlan::churn(
-                n,
-                events,
-                fault.horizon,
-                fault.downtime,
-                SeedStream::new(cell.seed()).child_seed("churn-plan", 0),
-            ));
-        }
-        if let Some(plan) = self.cell_adversary(cell) {
-            cfg = cfg.adversary(plan);
-        }
-        cfg
+        (metrics, telemetry)
     }
 
     /// Runs one anti-entropy cell: the e21/e22 metric set — convergence
     /// indicators, rounds, wire bytes, transfer counters, and the
     /// `invented` no-invention count — with fault telemetry iff the
     /// scenario injects faults and adversary telemetry iff the cell's
-    /// resolved strategy tampers.
-    fn sync_metrics(&self, cell: &Cell) -> CellMetrics {
-        let cfg = self.cell_sync_config(cell);
+    /// resolved strategy tampers. The divergence comes from the
+    /// directive or its axis.
+    fn sync_metrics(&self, cell: &Cell, n: u32, run: RunSpec) -> Metered {
+        let ProtocolSpec::Antientropy { key_space } = self.scenario.protocol else {
+            unreachable!("record sync requires `protocol antientropy`")
+        };
+        let divergence = match self.scenario.divergence {
+            Some(Bind::Fixed(d)) => d,
+            Some(Bind::Axis) => cell.f64("divergence"),
+            None => unreachable!("divergence required by compile"),
+        };
+        let cfg = SyncConfig {
+            run,
+            ..SyncConfig::new(n, key_space).divergence(divergence)
+        };
         let o = run_antientropy(&cfg);
         let mut metrics = CellMetrics::new()
             .with_sync(&o)
@@ -938,20 +880,19 @@ impl CompiledScenario {
         if self.scenario.adversary.is_some() && self.cell_strategy(cell) != Some("none") {
             metrics = metrics.with_adversary(&o.report);
         }
-        metrics
+        (metrics, o.telemetry)
     }
 
-    /// Runs one cell and records the scenario's metric set.
-    pub fn run_cell(&self, cell: &Cell) -> CellMetrics {
-        if self.scenario.record == RecordMode::Consensus {
-            return self.consensus_metrics(cell);
-        }
-        if self.scenario.record == RecordMode::Sync {
-            return self.sync_metrics(cell);
-        }
-        let cfg = self.cell_config(cell);
+    /// Runs one ring-election cell and records the scenario's election,
+    /// classified or adversary metric set.
+    fn ring_metrics(&self, cell: &Cell, n: u32, run: RunSpec) -> Metered {
+        let cfg = RingConfig {
+            kind: self.cell_kind(cell),
+            run,
+            ..RingConfig::new(n)
+        };
         let o = self.run_protocol(&cfg);
-        match self.scenario.record {
+        let metrics = match self.scenario.record {
             RecordMode::Election => {
                 election_metrics(&o).metric("knockouts", o.report.counter("knockouts") as f64)
             }
@@ -989,11 +930,34 @@ impl CompiledScenario {
                 }
             }
             RecordMode::Consensus | RecordMode::Sync => {
-                unreachable!("handled by the early returns above")
+                unreachable!("dispatched by run_cell")
             }
+        };
+        (metrics, o.telemetry)
+    }
+
+    /// Runs one cell and records the scenario's metric set. When the
+    /// sweep installs a telemetry budget with histograms, the cell's
+    /// hist-v1 aggregate is attached too.
+    pub fn run_cell(&self, cell: &Cell) -> CellMetrics {
+        let n = self.cell_n(cell);
+        let run = self.cell_run(cell, n);
+        let (metrics, telemetry) = match self.scenario.record {
+            RecordMode::Consensus => self.consensus_metrics(cell, n, run),
+            RecordMode::Sync => self.sync_metrics(cell, n, run),
+            RecordMode::Election | RecordMode::Classified | RecordMode::Adversary => {
+                self.ring_metrics(cell, n, run)
+            }
+        };
+        match telemetry.as_deref().and_then(|r| r.histograms()) {
+            Some(h) => metrics.with_hist(h.to_json()),
+            None => metrics,
         }
     }
 }
+
+/// A cell's metric set plus the recorder its run captured, if any.
+type Metered = (CellMetrics, Option<Box<RunRecorder>>);
 
 /// The `CellMetrics::with_election` metric set without its termination
 /// assert: a stalled run records `leaders = 0` for the oracles to flag

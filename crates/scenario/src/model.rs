@@ -26,10 +26,10 @@ use std::fmt;
 
 pub use abe_core::fault::OutcomeClass;
 
-/// Default event cap per cell, mirroring the `RingConfig` default so a
+/// Default event cap per cell, mirroring the `RunSpec` default so a
 /// scenario without a `max-events` directive behaves exactly like a
 /// hand-written experiment without `.max_events(..)`.
-pub const DEFAULT_MAX_EVENTS: u64 = 5_000_000;
+pub const DEFAULT_MAX_EVENTS: u64 = abe_core::RunSpec::DEFAULT_MAX_EVENTS;
 
 /// Default burst probability for the `burst` adversary strategy
 /// (matches the hand-written `e17` experiment).

@@ -40,7 +40,9 @@ use abe_core::delay::{
 };
 use abe_core::fault::{EdgeSelector, FaultPlan};
 use abe_core::{Ctx, InPort, NetworkBuilder, NetworkReport, OutPort, Protocol, Topology};
-use abe_election::{run_abe, run_abe_calibrated, run_itai_rodeh, ElectionOutcome, RingConfig};
+use abe_election::{
+    run_abe, run_abe_calibrated, run_itai_rodeh, ElectionOutcome, RingConfig, Substrate,
+};
 use abe_sim::{RunLimits, RunOutcome, SimTime};
 
 /// A token-passing protocol that quiesces on its own: node 0 launches a

@@ -8,7 +8,7 @@
 //! Definition-1 model (delays adversarial but bounded in expectation),
 //! the interesting quantities are **how fast** replicas converge and
 //! **how many bytes** the reconciliation puts on the wire — measured per
-//! run via [`SyncReport`] on top of the engine's payload-byte accounting
+//! run via [`ConvergenceReport`] on top of the engine's payload-byte accounting
 //! ([`Ctx::send_sized`](abe_core::Ctx::send_sized) →
 //! [`NetworkReport::payload_bytes`](abe_core::NetworkReport)), and swept
 //! by experiments `e21`/`e22` in `abe-bench`.
@@ -36,7 +36,7 @@
 //! ## Example
 //!
 //! ```
-//! use abe_statesync::{run_antientropy, SyncConfig};
+//! use abe_statesync::{run_antientropy, Substrate, SyncConfig};
 //!
 //! let cfg = SyncConfig::new(5, 64).divergence(0.25).seed(7);
 //! let outcome = run_antientropy(&cfg);
@@ -55,11 +55,12 @@ pub mod protocol;
 pub mod runner;
 pub mod store;
 
+pub use abe_core::Substrate;
 pub use digest::{Digests, DEFAULT_FANOUT, DEFAULT_LEAF_WIDTH};
 pub use protocol::{AntiEntropy, FullExchange, SyncMsg};
 pub use runner::{
-    base_payload, fresh_payload, run_antientropy, run_reference, FreshWrite, SyncConfig,
-    SyncOutcome, SyncReport, WRITE_DOMAIN,
+    base_payload, fresh_payload, run_antientropy, run_reference, ConvergenceReport, FreshWrite,
+    SyncConfig, SyncOutcome, WRITE_DOMAIN,
 };
 pub use store::StateStore;
 

@@ -4,8 +4,10 @@
 //! The experiment harness (`e21`/`e22`), the scenario compiler, and the
 //! convergence-oracle suite all go through these, so the measurement
 //! conventions (what counts as converged, how residual divergence is
-//! defined, which writes exist) live in exactly one place — mirroring
-//! [`abe_consensus`'s runners](https://docs.rs) for consensus.
+//! defined, which writes exist) live in exactly one place. The run
+//! substrate is the [`RunSpec`] every workload shares, so the setters,
+//! defaults and execution path match the ring-election and consensus
+//! runners.
 //!
 //! ## Initial divergence
 //!
@@ -20,14 +22,10 @@
 //! oracle's ground truth).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use abe_core::adversary::AdversaryPlan;
-use abe_core::clock::ClockSpec;
-use abe_core::delay::{Exponential, SharedDelay};
-use abe_core::fault::{FaultPlan, OutcomeClass};
-use abe_core::{NetworkBuilder, NetworkReport, Recording, RunRecorder, Topology};
-use abe_sim::{RunLimits, SeedStream};
+use abe_core::fault::OutcomeClass;
+use abe_core::{NetworkReport, Protocol, RunRecorder, RunSpec, Substrate, Topology};
+use abe_sim::SeedStream;
 
 use crate::digest::{Digests, DEFAULT_FANOUT, DEFAULT_LEAF_WIDTH};
 use crate::protocol::{AntiEntropy, FullExchange};
@@ -78,33 +76,14 @@ pub struct SyncConfig {
     /// Per-node gossip round budget (bounds ticking at crashed or
     /// persistently partitioned peers).
     pub rounds_cap: u64,
-    /// Delay model applied to every edge.
-    pub delay: SharedDelay,
-    /// Clock population (defaults to perfect clocks).
-    pub clocks: ClockSpec,
-    /// Master seed for the run.
-    pub seed: u64,
-    /// FIFO channels (defaults to `false`: arbitrary reordering).
-    pub fifo: bool,
-    /// Event budget; runs exceeding it carry their residual divergence.
-    pub max_events: u64,
-    /// Optional virtual-time horizon (seconds).
-    pub max_time: Option<f64>,
-    /// Fault-injection plan (defaults to empty: no faults).
-    pub fault: FaultPlan,
-    /// Scheduling-adversary plan (defaults to empty: oblivious delays).
-    pub adversary: AdversaryPlan,
-    /// Shard count for deterministic parallel execution (defaults to 1).
-    pub shards: u32,
-    /// Optional telemetry recording budget (defaults to `None`: no
-    /// recording). Recording never perturbs the run; the captured
-    /// recorder lands on [`SyncOutcome::telemetry`].
-    pub record: Option<Recording>,
+    /// The run substrate, set through the [`Substrate`] setters. A
+    /// recording budget lands on [`SyncOutcome::telemetry`].
+    pub run: RunSpec,
 }
 
 impl SyncConfig {
-    /// A complete graph of size `n` over `key_space` keys with
-    /// exponential delays of mean 1 and defaults everywhere else.
+    /// A complete graph of size `n` over `key_space` keys on the default
+    /// [`RunSpec`].
     ///
     /// # Panics
     ///
@@ -119,16 +98,7 @@ impl SyncConfig {
             fanout: DEFAULT_FANOUT,
             leaf_width: DEFAULT_LEAF_WIDTH,
             rounds_cap: 100 + 20 * u64::from(n),
-            delay: Arc::new(Exponential::from_mean(1.0).expect("valid mean")),
-            clocks: ClockSpec::perfect(),
-            seed: 0,
-            fifo: false,
-            max_events: 5_000_000,
-            max_time: None,
-            fault: FaultPlan::new(),
-            adversary: AdversaryPlan::none(),
-            shards: 1,
-            record: None,
+            run: RunSpec::new(),
         }
     }
 
@@ -160,77 +130,6 @@ impl SyncConfig {
         self
     }
 
-    /// Replaces the delay model.
-    pub fn delay(mut self, delay: SharedDelay) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Replaces the clock specification.
-    pub fn clocks(mut self, clocks: ClockSpec) -> Self {
-        self.clocks = clocks;
-        self
-    }
-
-    /// Sets the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enables FIFO channels.
-    pub fn fifo(mut self, fifo: bool) -> Self {
-        self.fifo = fifo;
-        self
-    }
-
-    /// Installs a fault-injection plan for the run.
-    pub fn fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Installs a budgeted scheduling-adversary plan for the run.
-    pub fn adversary(mut self, adversary: AdversaryPlan) -> Self {
-        self.adversary = adversary;
-        self
-    }
-
-    /// Replaces the event budget.
-    pub fn max_events(mut self, max_events: u64) -> Self {
-        self.max_events = max_events;
-        self
-    }
-
-    /// Caps the run at a virtual-time horizon (seconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_time` is not finite and non-negative.
-    #[track_caller]
-    pub fn max_time(mut self, max_time: f64) -> Self {
-        assert!(
-            max_time.is_finite() && max_time >= 0.0,
-            "max_time must be finite and non-negative, got {max_time}"
-        );
-        self.max_time = Some(max_time);
-        self
-    }
-
-    /// Sets the shard count for deterministic parallel execution (see
-    /// [`abe_core::shard`]); `1` (the default) runs sequentially.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Enables telemetry recording for the run (see
-    /// [`abe_core::Recording`]).
-    pub fn record(mut self, record: Recording) -> Self {
-        self.record = Some(record);
-        self
-    }
-
     /// The digest-tree shape of this configuration.
     pub fn digests(&self) -> Digests {
         Digests::with_shape(self.key_space, self.fanout, self.leaf_width)
@@ -243,7 +142,7 @@ impl SyncConfig {
     pub fn fresh_writes(&self) -> Vec<FreshWrite> {
         let count =
             ((self.divergence * f64::from(self.key_space)).ceil() as u32).min(self.key_space);
-        let mut rng = SeedStream::new(self.seed).stream(WRITE_DOMAIN, 0);
+        let mut rng = SeedStream::new(self.run.seed).stream(WRITE_DOMAIN, 0);
         let mut keys: Vec<u32> = (0..self.key_space).collect();
         let mut writes = Vec::with_capacity(count as usize);
         for i in 0..count as usize {
@@ -274,35 +173,11 @@ impl SyncConfig {
         store
     }
 
-    fn builder(&self) -> NetworkBuilder {
-        let topo = Topology::complete(self.n).expect("n >= 1 was validated");
-        let builder = NetworkBuilder::new(topo)
-            .delay_shared(Arc::clone(&self.delay))
-            .clocks(self.clocks)
-            .fifo(self.fifo)
-            .seed(self.seed)
-            .fault(self.fault.clone())
-            .adversary(self.adversary.clone())
-            .shards(self.shards);
-        match &self.record {
-            Some(r) => builder.record(r.clone()),
-            None => builder,
-        }
-    }
-
-    fn limits(&self) -> RunLimits {
-        let limits = RunLimits::events(self.max_events);
-        match self.max_time {
-            Some(t) => limits.with_max_time(abe_sim::SimTime::from_secs(t)),
-            None => limits,
-        }
-    }
-
     /// Which replicas are up at virtual time `end` under this fault plan
     /// (crash-stopped or mid-outage replicas are down).
     pub fn alive_at(&self, end: f64) -> Vec<bool> {
         let mut alive = vec![true; self.n as usize];
-        for w in self.fault.crashes() {
+        for w in self.run.fault.crashes() {
             if w.at <= end && w.recover_at.is_none_or(|r| r > end) {
                 alive[w.node as usize] = false;
             }
@@ -311,9 +186,15 @@ impl SyncConfig {
     }
 }
 
+impl Substrate for SyncConfig {
+    fn spec_mut(&mut self) -> &mut RunSpec {
+        &mut self.run
+    }
+}
+
 /// Condensed per-run telemetry: the numbers the experiments sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SyncReport {
+pub struct ConvergenceReport {
     /// Whether every live replica ended byte-identical.
     pub converged: bool,
     /// Entries still differing from the live-union state, summed over
@@ -353,7 +234,7 @@ pub struct SyncOutcome {
     pub time: f64,
     /// The full network report (payload bytes, counters, faults).
     pub report: NetworkReport,
-    /// Captured telemetry, when [`SyncConfig::record`] enabled recording.
+    /// Captured telemetry, when [`Substrate::record`] enabled recording.
     pub telemetry: Option<Box<RunRecorder>>,
 }
 
@@ -446,8 +327,8 @@ impl SyncOutcome {
     }
 
     /// Condenses the outcome into the per-run telemetry record.
-    pub fn sync_report(&self) -> SyncReport {
-        SyncReport {
+    pub fn sync_report(&self) -> ConvergenceReport {
+        ConvergenceReport {
             converged: self.converged(),
             residual_divergence: self.residual_divergence(),
             rounds: self.rounds.iter().copied().max().unwrap_or(0),
@@ -460,23 +341,37 @@ impl SyncOutcome {
     }
 }
 
-/// Runs `net` under the config's limits, sharded when the config asks
-/// for it, and assembles the outcome from the final protocol states.
-fn execute<P>(
+/// Builds `K_n` with one replica per node — `replica(i, out_degree,
+/// digests, initial_store, rounds_cap)` — runs it, and assembles the
+/// outcome from each final protocol state via `split`.
+fn run_replicas<P>(
     cfg: &SyncConfig,
-    net: abe_core::Network<P>,
-    split: impl Fn(P) -> (StateStore, u64),
+    replica: fn(u32, usize, Digests, StateStore, u64) -> P,
+    split: fn(P) -> (StateStore, u64),
 ) -> SyncOutcome
 where
-    P: abe_core::Protocol + Clone + Send,
+    P: Protocol + Clone + Send,
     P::Message: Send,
 {
-    let (report, mut net) = if cfg.shards > 1 {
-        net.run_sharded(cfg.limits())
-    } else {
-        net.run(cfg.limits())
-    };
-    let telemetry = net.take_telemetry();
+    let digests = cfg.digests();
+    let writes = cfg.fresh_writes();
+    let out_degree = cfg.n as usize - 1;
+    let topo = Topology::complete(cfg.n).expect("n >= 1 was validated");
+    let net = cfg
+        .run
+        .network(topo)
+        .build(|i| {
+            let i = i as u32;
+            replica(
+                i,
+                out_degree,
+                digests,
+                cfg.initial_store(i, &writes),
+                cfg.rounds_cap,
+            )
+        })
+        .expect("complete-graph configuration is structurally valid");
+    let (report, net, telemetry) = cfg.run.run(net);
     let (states, rounds): (Vec<_>, Vec<_>) = net
         .into_protocols()
         .into_iter()
@@ -489,7 +384,7 @@ where
     SyncOutcome {
         n: cfg.n,
         key_space: cfg.key_space,
-        writes: cfg.fresh_writes(),
+        writes,
         states,
         alive: cfg.alive_at(time),
         rounds,
@@ -501,23 +396,7 @@ where
 
 /// Runs the Merkle-descent anti-entropy protocol on `K_n`.
 pub fn run_antientropy(cfg: &SyncConfig) -> SyncOutcome {
-    let digests = cfg.digests();
-    let writes = cfg.fresh_writes();
-    let out_degree = cfg.n as usize - 1;
-    let net = cfg
-        .builder()
-        .build(|i| {
-            let i = i as u32;
-            AntiEntropy::new(
-                i,
-                out_degree,
-                digests,
-                cfg.initial_store(i, &writes),
-                cfg.rounds_cap,
-            )
-        })
-        .expect("complete-graph configuration is structurally valid");
-    execute(cfg, net, |p: AntiEntropy| {
+    run_replicas(cfg, AntiEntropy::new, |p| {
         let rounds = p.rounds();
         (p.into_store(), rounds)
     })
@@ -527,23 +406,7 @@ pub fn run_antientropy(cfg: &SyncConfig) -> SyncOutcome {
 /// differential baseline whose final states the Merkle protocol must
 /// reproduce exactly.
 pub fn run_reference(cfg: &SyncConfig) -> SyncOutcome {
-    let digests = cfg.digests();
-    let writes = cfg.fresh_writes();
-    let out_degree = cfg.n as usize - 1;
-    let net = cfg
-        .builder()
-        .build(|i| {
-            let i = i as u32;
-            FullExchange::new(
-                i,
-                out_degree,
-                digests,
-                cfg.initial_store(i, &writes),
-                cfg.rounds_cap,
-            )
-        })
-        .expect("complete-graph configuration is structurally valid");
-    execute(cfg, net, |p: FullExchange| {
+    run_replicas(cfg, FullExchange::new, |p| {
         let rounds = p.rounds();
         (p.into_store(), rounds)
     })

@@ -33,7 +33,7 @@ use abe_core::adversary::AdversaryPlan;
 use abe_core::delay::{Deterministic, Exponential, Pareto, SharedDelay, Uniform};
 use abe_core::fault::{FaultPlan, OutcomeClass};
 use abe_statesync::{
-    base_payload, fresh_payload, run_antientropy, run_reference, SyncConfig, SyncOutcome,
+    base_payload, fresh_payload, run_antientropy, run_reference, Substrate, SyncConfig, SyncOutcome,
 };
 
 /// The delay regimes the grids draw from: zero lookahead (exponential),

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use abe_core::delay::{Deterministic, Exponential, SharedDelay, Uniform};
 use abe_core::fault::FaultPlan;
-use abe_statesync::{run_antientropy, run_reference, SyncConfig};
+use abe_statesync::{run_antientropy, run_reference, Substrate, SyncConfig};
 
 fn delay_for(family: usize) -> SharedDelay {
     match family {

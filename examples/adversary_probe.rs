@@ -35,7 +35,7 @@ use std::sync::Arc;
 use abe_networks::adversary::{Burst, Reorder, Swap, TargetHeat};
 use abe_networks::core::delay::Pareto;
 use abe_networks::core::AdversaryPlan;
-use abe_networks::election::{run_abe_calibrated, RingConfig};
+use abe_networks::election::{run_abe_calibrated, RingConfig, Substrate};
 
 const N: u32 = 32;
 const BUDGET: f64 = 1.0;

@@ -24,7 +24,7 @@
 //! ```
 
 use abe_networks::adversary::TargetHeat;
-use abe_networks::consensus::{run_benor, ConsensusConfig, InputAssignment};
+use abe_networks::consensus::{run_benor, ConsensusConfig, InputAssignment, Substrate};
 use abe_networks::core::{AdversaryPlan, OutcomeClass};
 
 const N: u32 = 9;

@@ -32,7 +32,7 @@
 
 use abe_networks::core::fault::FaultPlan;
 use abe_networks::core::OutcomeClass;
-use abe_networks::election::{run_abe_calibrated, RingConfig};
+use abe_networks::election::{run_abe_calibrated, RingConfig, Substrate};
 
 fn main() {
     let n = 16;

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use abe_networks::core::delay::{DelayModel, Retransmission};
-use abe_networks::election::{run_abe_calibrated, RingConfig};
+use abe_networks::election::{run_abe_calibrated, RingConfig, Substrate};
 use abe_networks::sim::Xoshiro256PlusPlus;
 use abe_networks::stats::{fmt_num, Online, Table};
 use rand::SeedableRng;

@@ -26,7 +26,7 @@
 //! $ cargo run --example trace_probe
 //! ```
 
-use abe_networks::election::{run_abe_calibrated, RingConfig};
+use abe_networks::election::{run_abe_calibrated, RingConfig, Substrate};
 use abe_networks::telemetry::{render_header, validate_trace, JsonlSink, Recording, TraceAnalysis};
 
 const N: u32 = 12;

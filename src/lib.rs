@@ -39,7 +39,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use abe_networks::election::{run_abe_calibrated, RingConfig};
+//! use abe_networks::election::{run_abe_calibrated, RingConfig, Substrate};
 //!
 //! // Elect a leader on an anonymous unidirectional ABE ring of 64 nodes.
 //! let outcome = run_abe_calibrated(&RingConfig::new(64).seed(2026), 1.0);

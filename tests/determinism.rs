@@ -3,7 +3,7 @@
 
 use abe_networks::core::delay::Exponential;
 use abe_networks::core::{NetworkBuilder, Topology};
-use abe_networks::election::{run_abe_calibrated, run_itai_rodeh, RingConfig};
+use abe_networks::election::{run_abe_calibrated, run_itai_rodeh, RingConfig, Substrate};
 use abe_networks::sim::RunLimits;
 use abe_networks::sync::{GraphSynchronizer, Heartbeat, IrSync, SyncRunner};
 

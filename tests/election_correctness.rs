@@ -7,6 +7,7 @@ use abe_networks::core::clock::{ClockSpec, DriftMode};
 use abe_networks::core::delay::{standard_families, Deterministic, Exponential};
 use abe_networks::election::{
     run_abe, run_abe_calibrated, run_chang_roberts, run_fixed, run_itai_rodeh, RingConfig,
+    Substrate,
 };
 
 #[test]

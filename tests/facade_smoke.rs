@@ -1,7 +1,7 @@
 //! Facade smoke test: the `abe-networks` crate's own re-export surface
 //! must be enough to run the paper's headline experiment end-to-end.
 
-use abe_networks::election::{run_abe_calibrated, RingConfig};
+use abe_networks::election::{run_abe_calibrated, RingConfig, Substrate};
 
 /// A 64-node anonymous unidirectional ABE ring elects exactly one leader,
 /// for several seeds, through the facade re-exports alone.

@@ -9,7 +9,7 @@ use abe_networks::core::delay::{
     DelayModel, Deterministic, Exponential, Hyperexponential, Pareto, Retransmission, Uniform,
 };
 use abe_networks::core::{NetworkBuilder, Topology};
-use abe_networks::election::{AbeElection, ElectionState, RingConfig};
+use abe_networks::election::{AbeElection, ElectionState, RingConfig, Substrate};
 use abe_networks::sim::{EventQueue, RunLimits, SimTime, Xoshiro256PlusPlus};
 use abe_networks::stats::Online;
 use rand::SeedableRng;
