@@ -1,8 +1,9 @@
 //! Deterministic virtual-time histograms over a trace stream.
 //!
 //! [`HistogramSink`] folds a record stream into fixed-shape aggregates —
-//! per-edge delay histograms, per-edge in-flight high-water marks, and
-//! per-node dispatch counts — using **bit-exact bucketing**: bucket
+//! one delay histogram over all sends, each edge's delay sum and count
+//! (for the exact per-edge mean), per-edge in-flight high-water marks,
+//! and per-node dispatch counts — using **bit-exact bucketing**: bucket
 //! indices come from the raw IEEE-754 exponent (for delays) or the
 //! integer bit length (for counts), never from `log2`/`ln`, so the same
 //! record stream produces byte-identical aggregates on every platform,
@@ -35,11 +36,10 @@ pub fn count_bucket(count: u64) -> usize {
     (64 - count.leading_zeros() as usize).min(BUCKETS - 1)
 }
 
-/// Per-edge delay statistics: a log-bucketed histogram plus the exact
-/// running sum/count used for the empirical Definition-1 audit.
+/// Per-edge delay statistics: the exact running sum/count used for the
+/// empirical Definition-1 audit.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct EdgeDelay {
-    buckets: Vec<u64>,
     sum: f64,
     count: u64,
 }
@@ -52,8 +52,10 @@ struct EdgeDelay {
 /// [`RunRecorder`](crate::RunRecorder) rather than directly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSink {
-    /// Per-edge delay histogram + exact mean accumulators, indexed by
-    /// edge id (grown lazily).
+    /// Delay histogram over all sends (sized on the first send).
+    delay_hist: Vec<u64>,
+    /// Per-edge exact mean accumulators, indexed by edge id (grown
+    /// lazily).
     delays: Vec<EdgeDelay>,
     /// Per-edge currently in-flight message count (sent − terminated).
     inflight: Vec<u64>,
@@ -91,11 +93,7 @@ impl HistogramSink {
         if self.delays.len() <= idx {
             self.delays.resize_with(idx + 1, EdgeDelay::default);
         }
-        let slot = &mut self.delays[idx];
-        if slot.buckets.is_empty() {
-            slot.buckets = vec![0; BUCKETS];
-        }
-        slot
+        &mut self.delays[idx]
     }
 
     fn bump_inflight(&mut self, edge: u32, up: bool) {
@@ -140,14 +138,10 @@ impl HistogramSink {
             .fold(0.0, f64::max)
     }
 
-    /// Delay histogram summed over all edges (64 log buckets).
+    /// Delay histogram over all sends on every edge (64 log buckets).
     pub fn delay_buckets(&self) -> Vec<u64> {
-        let mut total = vec![0u64; BUCKETS];
-        for slot in &self.delays {
-            for (t, b) in total.iter_mut().zip(&slot.buckets) {
-                *t += b;
-            }
-        }
+        let mut total = self.delay_hist.clone();
+        total.resize(BUCKETS, 0);
         total
     }
 
@@ -216,8 +210,11 @@ impl Recorder for HistogramSink {
         match &rec.event {
             TraceEvent::Start { node } | TraceEvent::Tick { node } => self.bump_dispatch(*node),
             TraceEvent::Send { edge, delay, .. } => {
+                if self.delay_hist.is_empty() {
+                    self.delay_hist = vec![0; BUCKETS];
+                }
+                self.delay_hist[delay_bucket(*delay)] += 1;
                 let slot = self.edge_delay(*edge);
-                slot.buckets[delay_bucket(*delay)] += 1;
                 slot.sum += delay;
                 slot.count += 1;
                 self.bump_inflight(*edge, true);
@@ -300,6 +297,12 @@ mod tests {
         assert_eq!(h.edge_mean(2), Some(10.0));
         assert_eq!(h.max_edge_mean(), 10.0);
         assert_eq!(h.edge_count(), 3);
+        let mut buckets = vec![0; BUCKETS];
+        buckets[delay_bucket(1.0)] = 1;
+        buckets[delay_bucket(3.0)] = 1;
+        buckets[delay_bucket(10.0)] = 1;
+        assert_eq!(h.delay_buckets(), buckets);
+        assert_eq!(HistogramSink::new().delay_buckets(), vec![0; BUCKETS]);
     }
 
     #[test]
